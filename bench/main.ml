@@ -334,7 +334,7 @@ let tests =
     Test.make ~name:"assign/greedy(n=300,k=20)" (Staged.stage (fun () ->
         Dia_core.Greedy.assign bench_problem));
     Test.make ~name:"assign/greedy-load(n=300,k=20)" (Staged.stage (fun () ->
-        Dia_core.Greedy.assign_load ~delay:(Dia_core.Delay.Queueing { mu = 40. })
+        Dia_core.Greedy.assign ~delay:(Dia_core.Delay.Queueing { mu = 40. })
           bench_problem));
     Test.make ~name:"assign/greedy-reference(n=300,k=20)" (Staged.stage (fun () ->
         Dia_core.Greedy.assign_reference bench_problem));
@@ -343,8 +343,8 @@ let tests =
     Test.make ~name:"objective/fast(n=300)" (Staged.stage (fun () ->
         Objective.max_interaction_path bench_problem bench_assignment));
     Test.make ~name:"delay/objective(n=300)" (Staged.stage (fun () ->
-        Objective.max_interaction_path_load bench_problem
-          ~delay:(Dia_core.Delay.Queueing { mu = 40. }) bench_assignment));
+        Objective.max_interaction_path ~delay:(Dia_core.Delay.Queueing { mu = 40. })
+          bench_problem bench_assignment));
     Test.make ~name:"lower-bound/pruned(n=300)" (Staged.stage (fun () ->
         Lower_bound.compute bench_problem));
     Test.make ~name:"placement/kcenter-2approx(n=300,k=20)" (Staged.stage (fun () ->

@@ -6,7 +6,9 @@
    bench/BENCH.seed.json. Exits non-zero if either kernel's win over the
    seed drops below the --min factor (default 3.0: the refactor targets
    >= 5x on a quiet machine; CI runners are noisy, so the gate is
-   deliberately generous).
+   deliberately generous). Two ratio gates follow: load-aware Greedy
+   against plain Greedy on the same instance, and the write-ahead
+   journal's tax on the churn kernel.
 
    Timing is best-of-N wall clock after warmup — the minimum is the right
    statistic for a regression gate because noise only ever adds time. *)
@@ -95,11 +97,13 @@ let best_of_wall f =
   done;
   !best *. 1e9
 
-let () =
-  (* The exact instance the bechamel kernels time. *)
+(* The exact instance the bechamel kernels time. *)
+let p =
   let matrix = Dia_latency.Synthetic.internet_like ~seed:3 300 in
   let servers = Placement.random ~seed:3 ~k:20 ~n:300 in
-  let p = Problem.all_nodes_clients matrix ~servers in
+  Problem.all_nodes_clients matrix ~servers
+
+let () =
   let kernels =
     [
       ("assign/greedy(n=300,k=20)", fun () -> ignore (Dia_core.Greedy.assign p));
@@ -121,6 +125,44 @@ let () =
     Printf.eprintf
       "speedup: a kernel fell below the %.1fx gate (refactor target: 5x)\n"
       !min_factor;
+    exit 1
+  end
+
+(* Load-aware Greedy gate: Greedy reads its delay model from a
+   per-load table inside the same live-list loop as the load-blind run,
+   so an M/M/1 model must cost at most [greedy_load_max_ratio] times the
+   plain run on the bechamel instance. Timed in interleaved best-of
+   rounds, like the journal gate below, so drift lands on both sides of
+   the ratio. *)
+let greedy_load_max_ratio = 2.0
+
+let () =
+  let delay = Dia_core.Delay.Queueing { mu = 40. } in
+  let plain_kernel () = Dia_core.Greedy.assign p in
+  let load_kernel () = Dia_core.Greedy.assign ~delay p in
+  for _ = 1 to 3 do
+    ignore (Sys.opaque_identity (plain_kernel ()));
+    ignore (Sys.opaque_identity (load_kernel ()))
+  done;
+  let plain = ref infinity and load = ref infinity in
+  for _ = 1 to !runs do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (plain_kernel ()));
+    let t1 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (load_kernel ()));
+    let t2 = Unix.gettimeofday () in
+    if t1 -. t0 < !plain then plain := t1 -. t0;
+    if t2 -. t1 < !load then load := t2 -. t1
+  done;
+  let plain = !plain *. 1e9 and load = !load *. 1e9 in
+  let ratio = load /. plain in
+  let verdict = if ratio <= greedy_load_max_ratio then "OK" else "TOO SLOW" in
+  Printf.printf "%-32s plain %9.0f ns   mm1:40 %10.0f ns   ratio %5.2fx   [%s]\n"
+    "assign/greedy-load(n=300,k=20)" plain load ratio verdict;
+  if ratio > greedy_load_max_ratio then begin
+    Printf.eprintf
+      "speedup: load-aware Greedy takes %.2fx the plain run (gate: %.1fx)\n"
+      ratio greedy_load_max_ratio;
     exit 1
   end
 

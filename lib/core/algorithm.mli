@@ -27,14 +27,11 @@ val key : t -> string
 
 val of_key : string -> t option
 
-val run : ?seed:int -> t -> Problem.t -> Assignment.t
+val run : ?seed:int -> ?delay:Delay.t -> t -> Problem.t -> Assignment.t
 (** Execute the algorithm. [seed] (default [0]) only affects
     [Random_assignment]. Capacitated variants are selected automatically
-    by the instance's capacity. *)
-
-val run_load : ?seed:int -> delay:Delay.t -> t -> Problem.t -> Assignment.t
-(** Execute the algorithm's load-aware variant under the given delay
-    model: {!Nearest.assign_load}, {!Greedy.assign_load} and
-    {!Distributed_greedy.assign_load} for the algorithms that have one;
-    the remaining algorithms return their load-blind assignment (callers
-    score it under [D_load] all the same). *)
+    by the instance's capacity. [delay] (default: none) is passed to
+    Nearest-Server, Greedy and Distributed-Greedy, which then minimise
+    [D_load]; the other algorithms have no delay term and return their
+    load-blind assignment, which callers score under [D_load] all the
+    same. *)

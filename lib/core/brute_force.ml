@@ -75,8 +75,8 @@ let optimal_load ?(node_limit = 50_000_000) ~delay p =
   let k = Problem.num_servers p in
   let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
   let seed =
-    let candidates = [ Greedy.assign_load ~delay p; Nearest.assign_load ~delay p ] in
-    let score a = Objective.max_interaction_path_load p ~delay a in
+    let candidates = [ Greedy.assign ~delay p; Nearest.assign ~delay p ] in
+    let score a = Objective.max_interaction_path ~delay p a in
     List.fold_left
       (fun (best_a, best_d) a ->
         let d = score a in
@@ -101,7 +101,7 @@ let optimal_load ?(node_limit = 50_000_000) ~delay p =
        only ever raises eccentricity and load, and delay is monotone in
        load, so the partial D_load still lower-bounds every completion
        and pruning below stays sound. *)
-    let partial_d () = Ecc.objective_load p ~delay ecc ~load in
+    let partial_d () = Ecc.objective ~delay p ecc ~load in
     let rec search i current_d =
       incr nodes;
       if !nodes > node_limit then raise Node_limit;

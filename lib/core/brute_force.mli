@@ -25,7 +25,7 @@ val optimal_value : ?node_limit:int -> Problem.t -> float
 val optimal_load :
   ?node_limit:int -> delay:Delay.t -> Problem.t -> Assignment.t * float
 (** Exact minimiser of [D_load]
-    ({!Objective.max_interaction_path_load}) by the same
+    ({!Objective.max_interaction_path} under [delay]) by the same
     branch-and-bound. The partial objective is recomputed at every node
     (each placement changes its server's load, hence its effective
     eccentricity), and remains a valid pruning bound because both

@@ -39,6 +39,13 @@ let eval t load =
            value, and still strictly increasing in the backlog. *)
         saturation +. (l -. mu +. 1.)
 
+let table ?delay n =
+  match delay with
+  | None -> Array.make (n + 1) 0.
+  | Some t ->
+      validate t;
+      Array.init (n + 1) (eval t)
+
 let to_string = function
   | Constant c -> Printf.sprintf "constant:%.17g" c
   | Linear { base; coeff } -> Printf.sprintf "linear:%.17g,%.17g" base coeff

@@ -4,7 +4,7 @@
     production load a server also charges for its queue. A delay model
     maps a server's integer load (assigned clients) to the extra delay
     that server adds to {e each} hop through it, extending the
-    objective to [D_load] (see {!Objective.max_interaction_path_load}).
+    objective to [D_load] (see {!Objective.max_interaction_path}).
 
     Every model is {b non-negative} and {b monotone non-decreasing} in
     the load — both are load-bearing: non-negativity keeps
@@ -38,6 +38,14 @@ val eval : t -> int -> float
     in [load].
 
     @raise Invalid_argument on negative load. *)
+
+val table : ?delay:t -> int -> float array
+(** [table ?delay n] is [[| eval delay 0; ...; eval delay n |]], or
+    [n + 1] zeros without a model — the per-load lookup the assignment
+    algorithms read in their inner loops, so the load-blind objective is
+    the zero-delay instance of the load-aware one.
+
+    @raise Invalid_argument if [delay] fails {!validate}. *)
 
 val to_string : t -> string
 (** Canonical spec syntax: [constant:C], [linear:BASE,COEFF] or

@@ -38,29 +38,23 @@ type result = {
   stats : stats;
 }
 
-val run : ?initial:Assignment.t -> Problem.t -> result
+val run : ?initial:Assignment.t -> ?delay:Delay.t -> Problem.t -> result
 (** Run to convergence. [initial] overrides the Nearest-Server starting
     point (it must respect the instance's capacity).
 
-    @raise Invalid_argument if [initial] is invalid or violates
-    capacity. *)
+    With [delay] the same loop runs on the [D_load] objective (each hop
+    pays its server's load-dependent delay — see
+    {!Objective.max_interaction_path}): the starting point is
+    [Nearest.assign ~delay], longest paths are found through the
+    effective eccentricities [l(s) + delay(load s)], and the trace
+    records [D_load]. The one delay-dependent step is how a target is
+    scored: a move changes the loads of both endpoint servers, so
+    targets are judged by the full trial objective instead of the local
+    {!Ecc.attach} estimate. Every committed move still strictly improves
+    the objective, so the protocol terminates.
 
-val assign : Problem.t -> Assignment.t
+    @raise Invalid_argument if [initial] is invalid or violates
+    capacity, or if [delay] fails {!Delay.validate}. *)
+
+val assign : ?delay:Delay.t -> Problem.t -> Assignment.t
 (** [run] and keep only the final assignment. *)
-
-val run_load : ?initial:Assignment.t -> delay:Delay.t -> Problem.t -> result
-(** Load-aware protocol: the same candidate-driven improvement loop run
-    on the [D_load] objective (each hop pays its server's
-    load-dependent delay — see {!Objective.max_interaction_path_load}).
-    A move changes the loads of both endpoint servers, so targets are
-    judged by a full trial evaluation instead of the local
-    {!Ecc.attach} estimate; every committed move still strictly
-    improves [D_load], so the protocol terminates. Starts from
-    {!Nearest.assign_load} unless [initial] is given; the trace records
-    [D_load] after every committed modification.
-
-    @raise Invalid_argument if [initial] is invalid or violates
-    capacity. *)
-
-val assign_load : delay:Delay.t -> Problem.t -> Assignment.t
-(** [run_load] and keep only the final assignment. *)

@@ -164,7 +164,8 @@ let objective_scratch t =
    when the eccentricity is untouched, so every removal path marks
    [dl_dirty] and the next query re-scans in O(k²). The expression
    grouping [(ecc1 +. δ1) +. d_ss +. (ecc2 +. δ2)] matches
-   {!Ecc.objective_load} and the naive evaluator bit-for-bit. *)
+   {!Ecc.objective} under a delay model and the naive evaluator
+   bit-for-bit. *)
 
 let objective_load_arrays t delay ecc load =
   let best = ref neg_infinity in

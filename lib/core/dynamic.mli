@@ -104,7 +104,8 @@ val objective_load : t -> float
 (** Current load-aware objective [D_load(A)]: the maximum interaction
     path where each hop pays its server's network distance {e plus} the
     delay of that server's current load
-    ({!Objective.max_interaction_path_load} of {!snapshot}).
+    ({!Objective.max_interaction_path} under the delay model, of
+    {!snapshot}).
     [neg_infinity] when empty; equal to {!objective} when the session
     has no delay model. Maintained with the same cache discipline as
     {!objective}: arrivals raise exactly one server's effective
@@ -245,7 +246,7 @@ val restore :
     {!stats} and the id counter. Loads, eccentricities and standby
     reservations are recomputed, so the restored session is
     behaviourally identical to the one that was saved. When [standbys]
-    is omitted (a v1 checkpoint) every client restores standby-less;
+    is omitted every client restores standby-less;
     callers wanting the canonical map run {!refresh_standbys}.
 
     @raise Invalid_argument on out-of-range ids/nodes/servers, duplicate

@@ -17,7 +17,7 @@ let of_assignment p assignment =
     assignment;
   ecc
 
-let objective p ecc =
+let objective ?delay ?load p ecc =
   let m = Problem.latency p in
   let servers = Problem.servers p in
   let k = Problem.num_servers p in
@@ -38,43 +38,17 @@ let objective p ecc =
        [Checker.analyze]'s [empty] flag) — rather than leaking
        [neg_infinity] into downstream arithmetic. *)
   else begin
-    let best = ref neg_infinity in
-    for i = 0 to !u - 1 do
-      let s1 = Array.unsafe_get used i in
-      let e1 = Array.unsafe_get ecc s1 in
-      let n1 = Array.unsafe_get servers s1 in
-      for j = i to !u - 1 do
-        let s2 = Array.unsafe_get used j in
-        let len = e1 +. Matrix.unsafe_get m n1 (Array.unsafe_get servers s2)
-                  +. Array.unsafe_get ecc s2 in
-        if len > !best then best := len
-      done
-    done;
-    !best
-  end
-
-let objective_load p ~delay ecc ~load =
-  let m = Problem.latency p in
-  let servers = Problem.servers p in
-  let k = Problem.num_servers p in
-  let used = Array.make k 0 in
-  let u = ref 0 in
-  for s = 0 to k - 1 do
-    if ecc.(s) > neg_infinity then begin
-      Array.unsafe_set used !u s;
-      incr u
-    end
-  done;
-  if !u = 0 then 0.
-  else begin
-    (* Effective eccentricities of the used servers, precomputed so the
-       pair scan groups [eff1 +. d +. eff2] exactly like
-       [Objective.max_interaction_path_load]. *)
-    let eff = Array.make !u 0. in
-    for i = 0 to !u - 1 do
-      let s = Array.unsafe_get used i in
-      eff.(i) <- ecc.(s) +. Delay.eval delay load.(s)
-    done;
+    (* Effective eccentricities of the used servers — [l(s)] itself
+       without a delay model — so the pair scan groups
+       [eff1 +. d +. eff2] exactly like [Objective.max_interaction_path]. *)
+    let eff =
+      Array.init !u (fun i ->
+          let s = used.(i) in
+          match (delay, load) with
+          | None, _ -> ecc.(s)
+          | Some delay, Some load -> ecc.(s) +. Delay.eval delay load.(s)
+          | Some _, None -> invalid_arg "Ecc.objective: a delay model needs ~load")
+    in
     let best = ref neg_infinity in
     for i = 0 to !u - 1 do
       let e1 = Array.unsafe_get eff i in

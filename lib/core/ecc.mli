@@ -4,31 +4,31 @@
     per-server eccentricities
     [l(s) = max {d(c, s) | A(c) = s}] (with [neg_infinity] for unused
     servers), exploiting that
-    [D(A) = max over s1, s2 of l(s1) + d(s1, s2) + l(s2)].
-    This module is the single home for that arithmetic; {!Objective},
+    [D(A) = max over s1, s2 of l(s1) + d(s1, s2) + l(s2)] — and, under a
+    delay model, [D_load] through the effective eccentricities
+    [l(s) + delay(load s)]. This module is the single home for that arithmetic; {!Objective},
     the search algorithms ({!Distributed_greedy}, {!Local_search},
     {!Brute_force}) and the protocol simulators all build on it. *)
 
 val of_assignment : Problem.t -> int array -> float array
 (** Eccentricity per server index for a raw assignment array. O(|C|). *)
 
-val objective : Problem.t -> float array -> float
+val objective :
+  ?delay:Delay.t -> ?load:int array -> Problem.t -> float array -> float
 (** [D] from an eccentricity array: the maximum over used server pairs
     (including a server with itself) of [l(s1) + d(s1, s2) + l(s2)].
     [0.] when no server is used — the identity of the objective, so an
     empty configuration composes with downstream arithmetic instead of
     leaking [neg_infinity] (contrast {!Dynamic.objective}, whose
     [neg_infinity]-on-empty is part of its protocol and pinned).
-    O(|used|²) after an O(|S|) gather. *)
+    O(|used|²) after an O(|S|) gather.
 
-val objective_load :
-  Problem.t -> delay:Delay.t -> float array -> load:int array -> float
-(** [D_load] from an eccentricity array plus a per-server load array:
-    the maximum over used server pairs of
-    [(l(s1) + delay(load s1)) + d(s1, s2) + (l(s2) + delay(load s2))],
-    grouped exactly like {!Objective.max_interaction_path_load} so the
-    two agree bit for bit. [0.] when no server is used, mirroring
-    {!objective}. O(|used|²) after an O(|S|) gather. *)
+    With [delay] it is [D_load]: each [l(s)] becomes the effective
+    eccentricity [l(s) + delay(load s)] for the per-server client counts
+    [load], grouped exactly like {!Objective.max_interaction_path} so
+    the two agree bit for bit. [load] is read only with a model.
+
+    @raise Invalid_argument if [delay] is given without [load]. *)
 
 val excluding : Problem.t -> int array -> server:int -> client:int -> float
 (** Eccentricity of [server] if [client] were removed from it. O(|C|). *)

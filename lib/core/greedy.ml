@@ -2,6 +2,20 @@
    line 11's max over assigned clients b of d(s, sA(b)) + d(sA(b), b) is
    computed from per-server eccentricities (O(|S|) instead of O(|C|)).
 
+   One body serves both objectives. A delay model enters only through
+   [hop.(l) = delay(l)] (all zeros without one): a candidate batch
+   (s, Δn closest unassigned clients, farthest at distance d) raises s's
+   effective eccentricity to [max(ecc s, d) + delay(load s + Δn)] — the
+   batch pays the marginal delay it inflicts on everything routed
+   through s — while every other used server keeps
+   [ecc s' + delay(load s')]. Delay is monotone in load, so stale
+   s-pairs in the running maximum are dominated by the new terms and
+   [len = max(2·new_eff, new_eff + m', cur_max)], with m' over s' <> s,
+   is exactly the resulting objective. At zero delay this is the paper's
+   [max(2d, d + m, cur_max)]: a batch is a prefix of s's distance order,
+   so every unassigned d >= ecc s, and the s' = s term d + ecc s it
+   leaves out of m is at most 2d.
+
    Tie-breaking on the cost Δl/Δn: costs are compared as cross-products
    (Δl1 * Δn2 vs Δl2 * Δn1) to avoid float division, with ties broken by
    larger Δn (bigger batch for the same amortised cost), then by server
@@ -16,11 +30,12 @@ let better a b =
   else if a.cost_den <> b.cost_den then a.cost_den > b.cost_den
   else (a.s, a.c) < (b.s, b.c)
 
-let assign p =
+let assign ?delay p =
   let n = Problem.num_clients p in
   let k = Problem.num_servers p in
   let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
   let result = Array.make n (-1) in
+  let hop = Delay.table ?delay n in
   if n > 0 then begin
     (* Flat server-major snapshot: dsc.(s * n + c) = d_cs p c s. Every
        inner loop below runs over clients at a fixed server, so this
@@ -57,20 +72,25 @@ let assign p =
       best_c := -1;
       for s = 0 to k - 1 do
         if load.(s) < capacity then begin
-          (* m = max over assigned clients b of d(s, sA(b)) + d(sA(b), b);
-             neg_infinity while nothing is assigned, in which case only
-             the 2 d(c, s) term matters. *)
+          (* m' = max over clients b assigned to servers s' <> s of
+             d(s, s') + (d(s', b) + delay(load s')); neg_infinity while
+             no other server is used, in which case only the round-trip
+             term matters. *)
           let m = ref neg_infinity in
           let sbase = s * k in
           for s' = 0 to k - 1 do
-            if ecc.(s') > neg_infinity then begin
-              let reach = Array.unsafe_get dss (sbase + s') +. ecc.(s') in
+            if s' <> s && ecc.(s') > neg_infinity then begin
+              let reach =
+                Array.unsafe_get dss (sbase + s')
+                +. (ecc.(s') +. Array.unsafe_get hop load.(s'))
+              in
               if reach > !m then m := reach
             end
           done;
           let m = !m in
+          let ecc_s = ecc.(s) and load_s = load.(s) in
           let cur_max = !max_len in
-          let room = capacity - load.(s) in
+          let room = capacity - load_s in
           let base = s * n in
           let live = unass.(s) in
           (* Δn = i + 1 grows along the walk, so the capacity filter
@@ -79,14 +99,18 @@ let assign p =
           for i = 0 to stop - 1 do
             let c = Array.unsafe_get live i in
             let d = Array.unsafe_get dsc (base + c) in
-            (* max (2d) (d + m) (cur_max): d is finite non-negative and
-               m is finite or neg_infinity, so plain comparisons agree
+            let den = i + 1 in
+            let e =
+              (if d >= ecc_s then d else ecc_s)
+              +. Array.unsafe_get hop (load_s + den)
+            in
+            (* max (2e) (e + m') (cur_max): e is finite non-negative and
+               m' is finite or neg_infinity, so plain comparisons agree
                with Float.max — no NaN, no signed-zero split. *)
-            let a = 2. *. d and b = d +. m in
+            let a = 2. *. e and b = e +. m in
             let hi = if a >= b then a else b in
             let len = if hi >= cur_max then hi else cur_max in
             let num = len -. cur_max in
-            let den = i + 1 in
             let take =
               !best_c < 0
               ||
@@ -144,97 +168,11 @@ let assign p =
   end;
   Assignment.unsafe_of_array result
 
-(* Load-aware greedy: the same batch selection on the D_load objective.
-   A candidate batch (s, Δn closest unassigned clients, farthest c)
-   raises s's effective eccentricity to
-   [max(ecc s, d) + delay(load s + Δn)] — the batch pays the marginal
-   delay it inflicts on everything routed through s — while every other
-   used server keeps [ecc s' + delay(load s')]. Because delay is
-   monotone in load, stale s-pairs in the running maximum are dominated
-   by the new terms, so
-   [len = max(cur_max, 2·new_eff, new_eff + m')] is exactly the
-   resulting D_load. Candidate comparison (cross-product Δl/Δn, ties by
-   larger Δn then (s, c)) is unchanged from [assign_reference]. *)
-let assign_load ~delay p =
-  Delay.validate delay;
+let assign_reference ?delay p =
   let n = Problem.num_clients p in
   let k = Problem.num_servers p in
   let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
-  let result = Array.make n (-1) in
-  let ecc = Array.make k neg_infinity in
-  let load = Array.make k 0 in
-  let max_len = ref 0. in
-  let remaining = ref n in
-  (* Unassigned clients closest to [s] first, ties by client index —
-     the reference's Ls order. A candidate batch is a {e prefix} of this
-     order (like [assign]'s live lists), so Δn = 1 is always feasible on
-     an unsaturated server even under massive distance ties. *)
-  let sorted_unassigned s =
-    let live = ref [] in
-    for c = n - 1 downto 0 do
-      if result.(c) < 0 then live := c :: !live
-    done;
-    let live = Array.of_list !live in
-    Array.sort
-      (fun a b ->
-        match Float.compare (Problem.d_cs p a s) (Problem.d_cs p b s) with
-        | 0 -> compare a b
-        | cmp -> cmp)
-      live;
-    live
-  in
-  while !remaining > 0 do
-    let best = ref None in
-    for s = 0 to k - 1 do
-      if load.(s) < capacity then begin
-        (* m' over used servers other than s: their load is unchanged by
-           this batch, so their effective eccentricity stands. *)
-        let m = ref neg_infinity in
-        for s' = 0 to k - 1 do
-          if s' <> s && ecc.(s') > neg_infinity then
-            m :=
-              Float.max !m
-                (Problem.d_ss p s s' +. (ecc.(s') +. Delay.eval delay load.(s')))
-        done;
-        let live = sorted_unassigned s in
-        let room = capacity - load.(s) in
-        let stop = min room (Array.length live) in
-        for i = 0 to stop - 1 do
-          let c = live.(i) in
-          let delta_n = i + 1 in
-          let d = Problem.d_cs p c s in
-          let new_eff =
-            Float.max ecc.(s) d +. Delay.eval delay (load.(s) + delta_n)
-          in
-          let len =
-            Float.max (2. *. new_eff) (Float.max (new_eff +. !m) !max_len)
-          in
-          let cand =
-            { cost_num = len -. !max_len; cost_den = delta_n; len; c; s }
-          in
-          match !best with
-          | Some b when not (better cand b) -> ()
-          | _ -> best := Some cand
-        done
-      end
-    done;
-    let chosen = match !best with Some cand -> cand | None -> assert false in
-    let live = sorted_unassigned chosen.s in
-    for i = 0 to chosen.cost_den - 1 do
-      let c = live.(i) in
-      result.(c) <- chosen.s;
-      load.(chosen.s) <- load.(chosen.s) + 1;
-      decr remaining;
-      ecc.(chosen.s) <- Float.max ecc.(chosen.s) (Problem.d_cs p c chosen.s)
-    done;
-    max_len := chosen.len
-  done;
-  Assignment.unsafe_of_array result
-
-let assign_reference p =
-  let n = Problem.num_clients p in
-  let k = Problem.num_servers p in
-  let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
+  let hop = Delay.table ?delay n in
   let result = Array.make n (-1) in
   let ecc = Array.make k neg_infinity in
   let load = Array.make k 0 in
@@ -255,8 +193,10 @@ let assign_reference p =
       if load.(s) < capacity then begin
         let m = ref neg_infinity in
         for s' = 0 to k - 1 do
-          if ecc.(s') > neg_infinity then
-            m := Float.max !m (Problem.d_ss p s s' +. ecc.(s'))
+          if s' <> s && ecc.(s') > neg_infinity then
+            m :=
+              Float.max !m
+                (Problem.d_ss p s s' +. (ecc.(s') +. hop.(load.(s'))))
         done;
         let room = capacity - load.(s) in
         for c = 0 to n - 1 do
@@ -264,7 +204,8 @@ let assign_reference p =
             let delta_n = batch_size s c in
             if delta_n <= room then begin
               let d = Problem.d_cs p c s in
-              let len = Float.max (2. *. d) (Float.max (d +. !m) !max_len) in
+              let e = Float.max ecc.(s) d +. hop.(load.(s) + delta_n) in
+              let len = Float.max (2. *. e) (Float.max (e +. !m) !max_len) in
               let cand =
                 { cost_num = len -. !max_len; cost_den = delta_n; len; c; s }
               in
@@ -301,3 +242,5 @@ let assign_reference p =
     max_len := chosen.len
   done;
   Assignment.unsafe_of_array result
+
+let assign_load ~delay p = assign ~delay p

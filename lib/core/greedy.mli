@@ -19,26 +19,33 @@
     whole batch fits in [s]'s remaining capacity (equivalently, [Δn] is
     capped by remaining capacity — candidate batches never overflow, and
     the nearest unassigned client to an unsaturated server is always
-    admissible, so the algorithm always progresses). *)
+    admissible, so the algorithm always progresses).
 
-val assign : Problem.t -> Assignment.t
+    With a delay model (the objective extended to [D_load], see
+    {!Objective.max_interaction_path}) the same loop runs on the
+    load-aware objective: a candidate batch also pays the marginal delay
+    it inflicts — the target's effective eccentricity becomes
+    [max(l(s), d) + delay(load s + Δn)] — while every other used server
+    keeps [l(s') + delay(load s')]. The delay is read from a table
+    precomputed per load, so the cost per iteration is the same
+    O(|S| |C|) with or without a model, and at zero delay the length
+    formula is exactly the paper's. *)
+
+val assign : ?delay:Delay.t -> Problem.t -> Assignment.t
 (** Runs the capacitated variant automatically when the instance has a
-    capacity. *)
+    capacity; minimises [D_load] under [delay] (default: none, the
+    paper's [D]).
+
+    @raise Invalid_argument if [delay] fails {!Delay.validate}. *)
 
 val assign_load : delay:Delay.t -> Problem.t -> Assignment.t
-(** Load-aware variant: the same batch selection run on the [D_load]
-    objective. A candidate batch additionally pays the marginal delay it
-    inflicts — the target's effective eccentricity becomes
-    [max(l(s), d) + delay(load s + Δn)] — while other used servers keep
-    [l(s') + delay(load s')]; delay monotonicity makes the running
-    maximum exact. Same amortised [Δl / Δn] cost, cross-product
-    comparison and tie order as {!assign_reference}. O(|S||C|²) per
-    iteration. *)
+(** [assign_load ~delay p] is [assign ~delay p]. *)
 
-val assign_reference : Problem.t -> Assignment.t
+val assign_reference : ?delay:Delay.t -> Problem.t -> Assignment.t
 (** Textbook implementation without the sorted-list/index bookkeeping:
     every iteration recomputes Δn by scanning all unassigned clients per
     candidate pair. Asymptotically O(|S||C|²) per iteration instead of
-    O(|S||C|); produces the same assignment on tie-free data (exact
-    distance ties may batch in a different order) — kept as a correctness
-    oracle and as the [greedy_impl] ablation baseline. *)
+    O(|S||C|); produces the same assignment as {!assign} under the same
+    [delay] on tie-free data (exact distance ties may batch in a
+    different order) — kept as the correctness oracle for both
+    objectives and as the [greedy_impl] ablation baseline. *)

@@ -14,62 +14,24 @@ let check_index p index =
     || not (Array.for_all2 ( = ) cands servers)
   then invalid_arg "Nearest.assign: index candidates do not match the servers"
 
-let assign_uncapacitated ?index p =
-  match index with
-  | None ->
-      Assignment.unsafe_of_array
-        (Array.init (Problem.num_clients p) (fun c -> Problem.nearest_server p c))
-  | Some index ->
-      check_index p index;
-      let clients = Problem.clients p in
-      (* Landmark.nearest runs the same strict-< ascending scan as
-         [Problem.nearest_server] (pruned candidates provably cannot
-         win), so the assignment is identical — index or not. *)
-      Assignment.unsafe_of_array
-        (Array.init (Problem.num_clients p) (fun c ->
-             fst (Landmark.nearest index ~query:clients.(c))))
-
-let assign_capacitated p cap =
-  let load = Array.make (Problem.num_servers p) 0 in
-  let pick c =
-    let order = Problem.servers_by_distance p c in
-    let rec try_servers i =
-      if i >= Array.length order then
-        (* make/with_capacity guarantee cap * |S| >= |C|, so a free server
-           always exists. *)
-        assert false
-      else begin
-        let s = order.(i) in
-        if load.(s) < cap then begin
-          load.(s) <- load.(s) + 1;
-          s
-        end
-        else try_servers (i + 1)
-      end
-    in
-    try_servers 0
-  in
-  Assignment.unsafe_of_array (Array.init (Problem.num_clients p) pick)
-
-let assign ?index p =
-  match Problem.capacity p with
-  | None -> assign_uncapacitated ?index p
-  | Some cap -> assign_capacitated p cap
-
-(* Load-aware nearest: clients arrive in index order and each picks the
-   server minimising its own marginal hop cost d(c,s) + delay(load+1) —
-   the delay the join itself inflicts — rather than raw distance.
-   Strict < on an ascending scan keeps ties at the lowest index. *)
-let assign_load ~delay p =
-  Delay.validate delay;
+(* One arrival-order loop for every variant without an index: clients
+   arrive in index order and each takes the unsaturated server
+   minimising its own marginal hop cost d(c,s) + delay(load+1) — the
+   delay its join inflicts. Strict < on an ascending scan keeps ties at
+   the lowest index, so with zero delay this is the nearest server
+   ([Problem.nearest_server]) and, under a capacity, the first server
+   with room in [Problem.servers_by_distance] order. *)
+let assign_by_cost ?delay p =
+  let n = Problem.num_clients p in
   let k = Problem.num_servers p in
   let cap = match Problem.capacity p with None -> max_int | Some c -> c in
+  let hop = Delay.table ?delay n in
   let load = Array.make k 0 in
   let pick c =
     let best = ref (-1) and best_cost = ref infinity in
     for s = 0 to k - 1 do
       if load.(s) < cap then begin
-        let cost = Problem.d_cs p c s +. Delay.eval delay (load.(s) + 1) in
+        let cost = Problem.d_cs p c s +. hop.(load.(s) + 1) in
         if cost < !best_cost then begin
           best_cost := cost;
           best := s
@@ -82,4 +44,17 @@ let assign_load ~delay p =
     load.(!best) <- load.(!best) + 1;
     !best
   in
-  Assignment.unsafe_of_array (Array.init (Problem.num_clients p) pick)
+  Assignment.unsafe_of_array (Array.init n pick)
+
+let assign ?index ?delay p =
+  match (index, Problem.capacity p, delay) with
+  | Some index, None, None ->
+      check_index p index;
+      let clients = Problem.clients p in
+      (* Landmark.nearest runs the same strict-< ascending scan as
+         [assign_by_cost] (pruned candidates provably cannot win), so
+         the assignment is identical — index or not. *)
+      Assignment.unsafe_of_array
+        (Array.init (Problem.num_clients p) (fun c ->
+             fst (Landmark.nearest index ~query:clients.(c))))
+  | _ -> assign_by_cost ?delay p

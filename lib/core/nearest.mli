@@ -8,25 +8,24 @@
 
     Under a capacity limit each client tries its servers in increasing
     distance order until it finds one with room (Section IV-E); clients
-    are processed in index order, which models their arrival order. *)
+    are processed in index order, which models their arrival order.
 
-val assign : ?index:Dia_latency.Landmark.t -> Problem.t -> Assignment.t
-(** Runs the capacitated variant automatically when the instance has a
-    capacity. O(|C| |S|) uncapacitated, O(|C| |S| log |S|) capacitated.
+    Under a delay model each arriving client instead joins the feasible
+    server minimising its marginal hop cost [d(c,s) + delay(load s + 1)]
+    — the delay its own join inflicts. Without a model that cost is the
+    distance, so both variants above are the zero-delay case of the one
+    arrival-order loop. *)
+
+val assign :
+  ?index:Dia_latency.Landmark.t -> ?delay:Delay.t -> Problem.t -> Assignment.t
+(** Capacity-respecting; ties break to the lowest server index.
+    O(|C| |S|).
 
     [index] — a {!Dia_latency.Landmark} index built over this problem's
     matrix with the server nodes as candidates — prunes the per-client
-    scan on the uncapacitated path. The assignment is bit-identical with
-    or without it (the index skips only provably losing candidates, and
-    falls back to the exhaustive scan on non-metric instances); the
-    capacitated path needs full distance orders and ignores it. Raises
-    [Invalid_argument] if the index does not match the instance. *)
-
-val assign_load : delay:Delay.t -> Problem.t -> Assignment.t
-(** Load-aware variant: clients arrive in index order and each joins
-    the feasible server minimising its marginal hop cost
-    [d(c,s) + delay(load(s) + 1)] — the delay its own join inflicts —
-    instead of raw distance. Capacity-respecting; ties break to the
-    lowest server index. Under [Delay.Constant c] the cost order equals
-    the distance order, so only capacity tie handling can differ from
-    {!assign}. O(|C| |S|). *)
+    scan when the instance has no capacity and there is no [delay]. The
+    assignment is bit-identical with or without it (the index skips only
+    provably losing candidates, and falls back to the exhaustive scan on
+    non-metric instances); otherwise it is ignored. Raises
+    [Invalid_argument] if a used index does not match the instance, or
+    if [delay] fails {!Delay.validate}. *)

@@ -22,54 +22,29 @@ let eccentricities_with_witness p a =
   done;
   (ecc, witness)
 
-let max_interaction_path p a =
-  let ecc = eccentricities p a in
-  let k = Problem.num_servers p in
-  let best = ref neg_infinity in
-  for s1 = 0 to k - 1 do
-    if ecc.(s1) > neg_infinity then
-      for s2 = s1 to k - 1 do
-        if ecc.(s2) > neg_infinity then begin
-          let len = ecc.(s1) +. Problem.d_ss p s1 s2 +. ecc.(s2) in
-          if len > !best then best := len
-        end
-      done
-  done;
-  !best
+(* With a delay model every used server's eccentricity becomes the
+   effective [l(s) + delay(load s)]: the load term is constant over a
+   server's clients, so D_load decomposes through the same pair scan as
+   D. Loads are only counted when there is a model. *)
+let max_interaction_path ?delay p a =
+  if Problem.num_clients p = 0 then neg_infinity
+  else begin
+    let load = Option.map (fun _ -> Assignment.loads p a) delay in
+    Ecc.objective ?delay ?load p (eccentricities p a)
+  end
 
-(* -- Load-aware objective: each hop pays d(c,s) + delay(load s) -------- *)
+let path_length p a ci cj =
+  let s1 = Assignment.server_of a ci and s2 = Assignment.server_of a cj in
+  Problem.d_cs p ci s1 +. Problem.d_ss p s1 s2 +. Problem.d_cs p cj s2
 
-(* Effective eccentricity: l(s) + delay(load s) for used servers,
-   [neg_infinity] (still "unused") otherwise. The load term is constant
-   over a server's clients, so D_load decomposes through [eff] exactly
-   as D does through [l]. *)
-let effective_eccentricities p ~delay a =
-  let ecc = eccentricities p a in
-  let load = Assignment.loads p a in
-  for s = 0 to Array.length ecc - 1 do
-    if ecc.(s) > neg_infinity then
-      ecc.(s) <- ecc.(s) +. Delay.eval delay load.(s)
-  done;
-  ecc
-
-let max_interaction_path_load p ~delay a =
-  let eff = effective_eccentricities p ~delay a in
-  let k = Problem.num_servers p in
-  let best = ref neg_infinity in
-  for s1 = 0 to k - 1 do
-    if eff.(s1) > neg_infinity then
-      for s2 = s1 to k - 1 do
-        if eff.(s2) > neg_infinity then begin
-          let len = eff.(s1) +. Problem.d_ss p s1 s2 +. eff.(s2) in
-          if len > !best then best := len
-        end
-      done
-  done;
-  !best
-
-let naive_max_interaction_path_load p ~delay a =
+let naive_max_interaction_path ?delay p a =
   let n = Problem.num_clients p in
-  let load = Assignment.loads p a in
+  (* Per-server hop delay: zeros without a model. *)
+  let hop =
+    match delay with
+    | None -> Array.make (Problem.num_servers p) 0.
+    | Some delay -> Array.map (Delay.eval delay) (Assignment.loads p a)
+  in
   let best = ref neg_infinity in
   for ci = 0 to n - 1 do
     for cj = ci to n - 1 do
@@ -84,29 +59,16 @@ let naive_max_interaction_path_load p ~delay a =
         if s1 <= s2 then (s1, ci, s2, cj) else (s2, cj, s1, ci)
       in
       let len =
-        (Problem.d_cs p ca sa +. Delay.eval delay load.(sa))
+        (Problem.d_cs p ca sa +. hop.(sa))
         +. Problem.d_ss p sa sb
-        +. (Problem.d_cs p cb sb +. Delay.eval delay load.(sb))
+        +. (Problem.d_cs p cb sb +. hop.(sb))
       in
       if len > !best then best := len
     done
   done;
   !best
 
-let path_length p a ci cj =
-  let s1 = Assignment.server_of a ci and s2 = Assignment.server_of a cj in
-  Problem.d_cs p ci s1 +. Problem.d_ss p s1 s2 +. Problem.d_cs p cj s2
-
-let naive_max_interaction_path p a =
-  let n = Problem.num_clients p in
-  let best = ref neg_infinity in
-  for ci = 0 to n - 1 do
-    for cj = ci to n - 1 do
-      let len = path_length p a ci cj in
-      if len > !best then best := len
-    done
-  done;
-  !best
+let max_interaction_path_load p ~delay a = max_interaction_path ~delay p a
 
 let longest_pair p a =
   if Problem.num_clients p = 0 then invalid_arg "Objective.longest_pair: no clients";

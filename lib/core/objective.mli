@@ -12,42 +12,45 @@
     [D(A) = max over used servers s1, s2 of l(s1) + d(s1, s2) + l(s2)]
     (the [s1 = s2] case covers client pairs sharing a server and a
     client's round trip to itself), costing O(|C| + |S|²) instead of the
-    naive O(|C|²). *)
+    naive O(|C|²).
+
+    Both [D] evaluators take an optional load-dependent delay model
+    ({!Delay}): with one they compute [D_load], where each hop also pays
+    its server's delay. The delay is constant over a server's clients,
+    so [D_load] decomposes the same way, through the effective
+    eccentricities [l(s) + delay(load s)]; without one it is the paper's
+    [D]. *)
 
 val eccentricities : Problem.t -> Assignment.t -> float array
 (** Per-server eccentricity [l(s)]; [neg_infinity] for servers with no
     assigned clients. O(|C| + |S|). *)
 
-val max_interaction_path : Problem.t -> Assignment.t -> float
+val max_interaction_path :
+  ?delay:Delay.t -> Problem.t -> Assignment.t -> float
 (** [D(A)], the maximum interaction-path length over all client pairs —
     including a client paired with itself (round trip). [neg_infinity]
-    for instances with no clients. O(|C| + |S|²). *)
+    for instances with no clients. O(|C| + |S|²).
 
-val naive_max_interaction_path : Problem.t -> Assignment.t -> float
-(** Direct O(|C|²) evaluation of the same quantity, kept as a correctness
-    oracle and as the ablation baseline for the [objective] bench. *)
-
-val effective_eccentricities :
-  Problem.t -> delay:Delay.t -> Assignment.t -> float array
-(** Per-server {e effective} eccentricity [l(s) + delay(load s)];
-    [neg_infinity] for servers with no assigned clients. The load term
-    is constant over a server's clients, so [D_load] decomposes through
-    this array exactly as [D] does through {!eccentricities}. *)
+    With [delay] it is [D_load(A)]: each hop additionally pays its
+    server's load-dependent delay —
+    [d(ci,s1) + delay(load s1) + d(s1,s2) + delay(load s2) + d(cj,s2)] —
+    evaluated through the effective eccentricities
+    [l(s) + delay(load s)]. Because every delay is [>= 0],
+    [D_load(A) >= D(A)] pointwise, with bit-exact equality under
+    [Delay.Constant 0.]. *)
 
 val max_interaction_path_load :
   Problem.t -> delay:Delay.t -> Assignment.t -> float
-(** [D_load(A)]: the maximum over client pairs of the interaction path
-    where each hop additionally pays the server's load-dependent delay —
-    [d(ci,s1) + delay(load s1) + d(s1,s2) + delay(load s2) + d(cj,s2)].
-    Because every delay is [>= 0], [D_load(A) >= D(A)] pointwise, with
-    bit-exact equality under [Delay.Constant 0.]. [neg_infinity] for
-    instances with no clients. O(|C| + |S|²). *)
+(** [max_interaction_path_load p ~delay a] is
+    [max_interaction_path ~delay p a]. *)
 
-val naive_max_interaction_path_load :
-  Problem.t -> delay:Delay.t -> Assignment.t -> float
-(** Direct O(|C|²) evaluation of [D_load(A)] — the correctness oracle
-    for the decomposed evaluator (bit-identical: both group each pair
-    as [(d1 + delay1) + d_ss + (d2 + delay2)]). *)
+val naive_max_interaction_path :
+  ?delay:Delay.t -> Problem.t -> Assignment.t -> float
+(** Direct O(|C|²) evaluation of the same quantity, kept as a correctness
+    oracle and as the ablation baseline for the [objective] bench. Each
+    pair is grouped as [(d1 + delay1) + d_ss + (d2 + delay2)] with the
+    smaller server index on the left, so it agrees with
+    {!max_interaction_path} bit for bit, with or without [delay]. *)
 
 val path_length : Problem.t -> Assignment.t -> int -> int -> float
 (** Interaction-path length between two client indices (equal indices give

@@ -235,7 +235,7 @@ let check_instance ~seed =
     (Invariant.delay_monotone ~max_load:(n_clients + 2) delay);
   let load_assignments =
     List.map
-      (fun (k, algo) -> (k, Algorithm.run_load ~seed ~delay algo p))
+      (fun (k, algo) -> (k, Algorithm.run ~seed ~delay algo p))
       [
         ("nearest", Algorithm.Nearest_server);
         ("greedy", Algorithm.Greedy);
@@ -244,7 +244,7 @@ let check_instance ~seed =
   in
   let load_values =
     List.map
-      (fun (k, a) -> (k, Objective.max_interaction_path_load p ~delay a))
+      (fun (k, a) -> (k, Objective.max_interaction_path ~delay p a))
       load_assignments
   in
   (* Every serving server has load >= 1, so both access hops pay at
@@ -266,12 +266,13 @@ let check_instance ~seed =
   checked "zero-delay identity"
     (Invariant.load_zero_identity ~label:"greedy"
        p (List.assoc "greedy" assignments));
+  checked "zero-delay assignments"
+    (Invariant.zero_delay_assignments_identical p);
   (* Folk assumption, measured not enforced (see DESIGN §9): load-aware
      Greedy should beat load-blind Greedy on D_load. *)
   let load_greedy_better =
     let blind =
-      Objective.max_interaction_path_load p ~delay
-        (List.assoc "greedy" assignments)
+      Objective.max_interaction_path ~delay p (List.assoc "greedy" assignments)
     in
     List.assoc "greedy" load_values <= blind +. Invariant.eps
   in

@@ -170,7 +170,7 @@ let evaluator_scale_invariant p a =
    regression here means the shared pair scan drifted. *)
 let load_dominates ~delay ~label p a =
   let d = Objective.max_interaction_path p a in
-  let d_load = Objective.max_interaction_path_load p ~delay a in
+  let d_load = Objective.max_interaction_path ~delay p a in
   if d_load >= d then Ok ()
   else
     Error
@@ -180,20 +180,43 @@ let load_dominates ~delay ~label p a =
    objectives must agree bit for bit. *)
 let load_zero_identity ~label p a =
   let d = Objective.max_interaction_path p a in
-  let d0 =
-    Objective.max_interaction_path_load p ~delay:(Dia_core.Delay.Constant 0.) a
-  in
+  let d0 = Objective.max_interaction_path ~delay:(Dia_core.Delay.Constant 0.) p a in
   if d0 = d then Ok ()
   else
     Error
       (Printf.sprintf "%s: D_load under Constant 0. = %.17g <> D = %.17g" label
          d0 d)
 
+(* The algorithms read the delay model from a per-load table that is all
+   zeros without one, so [Constant 0.] must reproduce the load-blind
+   assignment exactly — the paper's heuristics are the zero-delay case
+   of the load-aware ones, not a separate algorithm. *)
+let zero_delay_assignments_identical p =
+  let delay = Dia_core.Delay.Constant 0. in
+  let differs name blind zero =
+    if Assignment.equal blind zero then None
+    else
+      Some
+        (Printf.sprintf "%s under Constant 0. differs from the delay-less call"
+           name)
+  in
+  match
+    List.filter_map Fun.id
+      [
+        differs "Greedy" (Dia_core.Greedy.assign p)
+          (Dia_core.Greedy.assign ~delay p);
+        differs "Nearest" (Dia_core.Nearest.assign p)
+          (Dia_core.Nearest.assign ~delay p);
+      ]
+  with
+  | [] -> Ok ()
+  | errors -> Error (String.concat "; " errors)
+
 (* The fast evaluator (per-server effective eccentricities) against the
    O(|C|^2) definition — bit-identical, same term grouping. *)
 let load_fast_naive_agree ~delay ~label p a =
-  let fast = Objective.max_interaction_path_load p ~delay a in
-  let naive = Objective.naive_max_interaction_path_load p ~delay a in
+  let fast = Objective.max_interaction_path ~delay p a in
+  let naive = Objective.naive_max_interaction_path ~delay p a in
   if fast = naive then Ok ()
   else
     Error

@@ -102,6 +102,10 @@ val load_zero_identity :
 (** Under [Constant 0.] the delay terms are exact float zeros —
     [D_load] must equal [D] bit for bit. *)
 
+val zero_delay_assignments_identical : Dia_core.Problem.t -> check
+(** [Greedy.assign] and [Nearest.assign] under [Constant 0.] return
+    exactly the delay-less assignment. *)
+
 val load_fast_naive_agree :
   delay:Dia_core.Delay.t ->
   label:string ->

@@ -206,30 +206,22 @@ let decode text =
     match numbered with
     | [] -> Error "checkpoint: empty"
     | (_, header) :: rest ->
-        (* v1 files (no standby/baseline lines) stay readable: the
-           missing lists decode to [] and the soak rebuilds the standby
-           map canonically on restore. v2 files predate the per-section
-           checksums and are trusted as-is. *)
-        let file_version =
-          match header with
-          | "dia-soak-checkpoint v1" -> 1
-          | "dia-soak-checkpoint v2" -> 2
-          | "dia-soak-checkpoint v3" -> 3
-          | _ -> fail "checkpoint: line 1: unsupported header %S" header
-        in
+        (* Only the current format decodes. v1/v2 files predate the
+           per-section checksums, so nothing in them can be verified. *)
+        if header <> Printf.sprintf "dia-soak-checkpoint v%d" version then
+          fail "checkpoint: line 1: unsupported header %S (expected v%d)"
+            header version;
         (* A checksummed file must end with exactly the end marker:
            anything after it, or a truncation anywhere before it (which
            necessarily removes the final newline), is corruption. *)
-        if file_version >= 3 then begin
-          let n = String.length text in
-          if not (n >= 4 && String.sub text (n - 4) 4 = "end\n") then
-            fail "checkpoint: truncated (file must end with the end marker)"
-        end;
+        let n = String.length text in
+        if not (n >= 4 && String.sub text (n - 4) 4 = "end\n") then
+          fail "checkpoint: truncated (file must end with the end marker)";
         (match List.rev rest with
         | (_, "end") :: _ -> ()
         | _ -> fail "checkpoint: truncated (missing end marker)");
         let rest = List.filter (fun (_, l) -> l <> "end") rest in
-        if file_version >= 3 then verify_sections rest;
+        verify_sections rest;
         let scalars = Hashtbl.create 32 in
         let members = ref [] and standbys = ref [] in
         let sessions = ref [] and drift = ref [] in
@@ -281,7 +273,7 @@ let decode text =
                       match Event_log.of_line (Codec.unescape value) with
                       | Ok entry -> log := entry :: !log
                       | Error m -> fail "checkpoint: bad log line: %s" m)
-                  | "crc" when file_version >= 3 -> ()  (* verified above *)
+                  | "crc" -> ()  (* verified above *)
                   | _ -> Hashtbl.replace scalars key (ln, value))
             with
             | Bad _ as e -> raise (located e)
@@ -321,7 +313,7 @@ let decode text =
         in
         Ok
           {
-            version = file_version;
+            version;
             digest = str "digest";
             cursor = int "cursor";
             now = flt "now";

@@ -19,20 +19,17 @@
     write leaves the previous checkpoint intact. A [scenario] digest
     guards against resuming under a different configuration.
 
-    {b Versioning.} Format v2 adds the standby map ([standby=] lines)
-    and the offline-baseline samples ([baseline=] lines) to v1. Format
-    v3 adds per-section integrity: a [crc=SECTION:HEX] line (CRC-32 of
-    the section's lines, in file order) for the scalar block and each
-    list kind — written even for empty sections, so wholesale deletion
-    is detected — plus a strict truncation guard (the file must end with
-    exactly the [end] marker). All three versions decode: a v1 file
-    yields empty lists and [version = 1], and the soak rebuilds the
-    standby map canonically on restore
-    ({!Dia_core.Dynamic.refresh_standbys} in ascending client-id order —
-    the same order the soak re-arms standbys at every checkpoint
-    boundary), so resuming a v1 checkpoint stays bit-identical to the
-    uninterrupted run. v2 files predate the checksums and are trusted
-    as-is. {!encode} always writes the current version.
+    {b Versioning.} Format v3 is the only one that decodes. Over the
+    earlier formats (v2 added the standby map ([standby=] lines) and the
+    offline-baseline samples ([baseline=] lines) to v1) it adds
+    per-section integrity: a [crc=SECTION:HEX] line (CRC-32 of the
+    section's lines, in file order) for the scalar block and each list
+    kind — written even for empty sections, so wholesale deletion is
+    detected — plus a strict truncation guard (the file must end with
+    exactly the [end] marker). A v1 or v2 header is refused with an
+    [Error] naming line 1: those files carry no checksums, so nothing
+    in them could be trusted. {!encode} always writes the current
+    version.
 
     {b Hardening.} {!decode} never raises and never yields a partial
     state: any corrupted, truncated or garbage input — including every
@@ -43,14 +40,15 @@
 val version : int
 
 type state = {
-  version : int;  (** format version of the decoded file; {!encode} writes the current one *)
+  version : int;
+      (** format version; always {!version} for a decoded file *)
   digest : string;  (** hex digest of the scenario/config, from the soak *)
   cursor : int;  (** next trace event index *)
   now : float;  (** trace time of the last processed event *)
   (* session *)
   capacity : int option;
   members : (int * int * int) list;  (** (client id, node, server) *)
-  standbys : (int * int) list;  (** (client id, standby server); [] in v1 files *)
+  standbys : (int * int) list;  (** (client id, standby server) *)
   next_id : int;
   failed : int list;
   drift : (int * float) list;  (** (server, factor), only factors <> 1 *)
@@ -84,17 +82,16 @@ type state = {
   baseline_points : (float * float * float) list;
       (** (time, online objective, offline re-solve objective) samples
           for the competitive-ratio harness, oldest first; [] unless the
-          soak ran with [offline_baseline] (and in v1 files) *)
+          soak ran with [offline_baseline] *)
   log : Event_log.entry list;  (** oldest first *)
 }
 
 val encode : state -> string
 val decode : string -> (state, string) result
 (** [decode (encode s) = Ok s] bit-exactly for current-version states.
-    v1/v2 files also decode (with their [version] and, for v1, empty
-    standby/baseline lists); unknown versions are rejected. v3 input is
-    verified section-by-section against its [crc=] lines before any
-    field is trusted. Never raises. *)
+    Every other header — older or unknown versions alike — is rejected.
+    Input is verified section-by-section against its [crc=] lines
+    before any field is trusted. Never raises. *)
 
 val save : string -> state -> unit
 (** Atomic write: the state is written to [path ^ ".tmp"] and renamed

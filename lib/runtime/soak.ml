@@ -282,19 +282,11 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
         let session =
           Dynamic.restore ?capacity:st.Checkpoint.capacity
             ?delay:scenario.delay
-            ?standbys:
-              (if st.Checkpoint.version >= 2 then Some st.Checkpoint.standbys
-               else None)
+            ~standbys:st.Checkpoint.standbys
             matrix ~servers:server_nodes ~members:st.Checkpoint.members
             ~next_id:st.Checkpoint.next_id ~failed:st.Checkpoint.failed
             ~drift:st.Checkpoint.drift ~stats:st.Checkpoint.session_stats
         in
-        (* A v1 checkpoint predates the standby map; rebuild it
-           canonically. Checkpoints are only written right after a
-           canonical refresh, so this reproduces the exact map a v2 file
-           would have carried — the upgrade is bit-identical. *)
-        if st.Checkpoint.version < 2 && config.standby then
-          ignore (Dynamic.refresh_standbys session);
         let sessions = Hashtbl.create 256 in
         List.iter
           (fun (sid, id) -> Hashtbl.replace sessions sid id)
@@ -445,10 +437,8 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
     | Some _ -> Dynamic.objective_load session
   in
   let resolve_now p =
-    match scenario.delay with
-    | None -> Objective.max_interaction_path p (Greedy.assign p)
-    | Some delay ->
-        Objective.max_interaction_path_load p ~delay (Greedy.assign_load ~delay p)
+    let delay = scenario.delay in
+    Objective.max_interaction_path ?delay p (Greedy.assign ?delay p)
   in
   let recompute_lb now =
     events_since_lb := 0;
@@ -819,8 +809,7 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
     if boundary then begin
       (* Canonical standby re-arm at the boundary, *before* capture: the
          persisted map is then exactly what a restore-and-refresh would
-         rebuild, which is what keeps v1-checkpoint upgrades
-         bit-identical. *)
+         rebuild. *)
       if config.standby then begin
         let changed = Dynamic.refresh_standbys session in
         log_event now (Event_log.Standby_refresh { changed })

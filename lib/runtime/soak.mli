@@ -130,8 +130,12 @@ type report = {
   coreset_points : int;
       (** members of the underlying Dynamic — equals [clients] in
           classic mode, occupied coreset cells in weighted mode *)
-  prepop_seconds : float;  (** wall clock spent pre-populating (0 on resume) *)
-  loop_seconds : float;  (** wall clock spent in this process's event loop *)
+  prepop_seconds : float;
+      (** process CPU time ([Sys.time]) spent pre-populating (0 on
+          resume) — not wall clock *)
+  loop_seconds : float;
+      (** process CPU time ([Sys.time]) spent in this process's event
+          loop — not wall clock *)
   live_servers : int;
   total_servers : int;
   final_objective : float;

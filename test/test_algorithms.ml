@@ -257,8 +257,22 @@ let prop_greedy_matches_reference =
     QCheck.(quad (int_bound 1_000_000) (int_range 1 7) (int_range 0 30) bool)
     (fun (seed, k, extra, capacitated) ->
       let capacity = if capacitated then Some (max 1 ((k + extra + k - 1) / k)) else None in
-      let p = random_instance ?capacity seed ~n:(k + extra) ~k in
-      Assignment.equal (Greedy.assign p) (Greedy.assign_reference p))
+      let n = k + extra in
+      let p = random_instance ?capacity seed ~n ~k in
+      (* The load-blind objective, then every delay model family —
+         M/M/1 both below and past saturation. *)
+      List.for_all
+        (fun delay ->
+          Assignment.equal (Greedy.assign ?delay p)
+            (Greedy.assign_reference ?delay p))
+        Dia_core.Delay.
+          [
+            None;
+            Some (Constant 2.);
+            Some (Linear { base = 0.5; coeff = 0.3 });
+            Some (Queueing { mu = float_of_int (n + 1) });
+            Some (Queueing { mu = float_of_int (max 1 (n / 4)) });
+          ])
 
 let test_key_roundtrip () =
   List.iter

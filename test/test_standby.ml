@@ -1,7 +1,8 @@
 (* Tests for the standby-replica layer: the reservation discipline on
    live sessions, O(1) failover promotion and its promise, graceful
-   stranding under saturation, checkpoint format v3, the v1 -> v3
-   upgrade path, and the competitive-ratio harness. *)
+   stranding under saturation, checkpoint format v3 (and the refusal of
+   the unchecksummed v1/v2 formats), and the competitive-ratio
+   harness. *)
 
 module Dynamic = Dia_core.Dynamic
 module Soak = Dia_runtime.Soak
@@ -254,7 +255,7 @@ let test_soak_no_standby_falls_back_to_resolve () =
     (Soak.digest small_scenario config
     <> Soak.digest small_scenario small_config)
 
-(* --- Checkpoint v3 and the v1 upgrade --- *)
+(* --- Checkpoint v3, and the older formats refused --- *)
 
 let killed scenario config =
   match Soak.run ~kill_after:1 scenario config with
@@ -276,65 +277,41 @@ let test_checkpoint_v3_roundtrip_with_standbys () =
       Alcotest.(check bool) "standby map survives" true
         (st'.Checkpoint.standbys = st.Checkpoint.standbys)
 
-(* Rewrite a current checkpoint as the v1 format an old binary would
-   have written: the v1 header, no standby=, baseline= or crc= lines. *)
-let downgrade_to_v1 text =
+(* Rewrite a current checkpoint as an older binary would have written
+   it: the [v] header, without the crc= lines (and, for v1, without the
+   standby= and baseline= lines). *)
+let downgrade ~v text =
   let has_prefix p line =
     String.length line >= String.length p && String.sub line 0 (String.length p) = p
   in
   String.split_on_char '\n' text
   |> List.filter (fun line ->
          not
-           (has_prefix "standby=" line || has_prefix "baseline=" line
-           || has_prefix "crc=" line))
+           (has_prefix "crc=" line
+           || (v = 1 && (has_prefix "standby=" line || has_prefix "baseline=" line))))
   |> List.map (fun line ->
          if line = Printf.sprintf "dia-soak-checkpoint v%d" Checkpoint.version
-         then "dia-soak-checkpoint v1"
+         then Printf.sprintf "dia-soak-checkpoint v%d" v
          else line)
   |> String.concat "\n"
 
-let test_v1_checkpoint_upgrade_resumes_identically () =
-  let base = complete small_scenario small_config in
-  let st = killed small_scenario small_config in
-  let v1_text = downgrade_to_v1 (Checkpoint.encode st) in
-  match Checkpoint.decode v1_text with
-  | Error m -> Alcotest.fail ("v1 checkpoint rejected: " ^ m)
-  | Ok st_v1 -> (
-      Alcotest.(check int) "decoded as v1" 1 st_v1.Checkpoint.version;
-      Alcotest.(check (list (pair int int))) "no standbys in v1" []
-        st_v1.Checkpoint.standbys;
-      match Soak.run ~resume_from:st_v1 small_scenario small_config with
-      | Soak.Killed _ -> Alcotest.fail "v1 resume killed"
-      | Soak.Completed resumed ->
-          Alcotest.(check string) "report identical to the uninterrupted run"
-            (Soak.render base) (Soak.render resumed);
-          Alcotest.(check string) "event log identical too"
-            (Event_log.render base.Soak.log)
-            (Event_log.render resumed.Soak.log))
-
-let prop_v1_upgrade_bit_identical_at_any_kill =
-  QCheck.Test.make ~name:"v1 checkpoint upgrade is bit-identical at any kill"
-    ~count:8
-    QCheck.(pair (int_bound 1000) (int_range 1 3))
-    (fun (seed, kill_after) ->
-      let scenario = { small_scenario with Soak.seed } in
-      match Soak.run scenario small_config with
-      | Soak.Killed _ -> false
-      | Soak.Completed base -> (
-          match Soak.run ~kill_after scenario small_config with
-          | Soak.Completed r ->
-              (* not enough checkpoints to kill at *)
-              Soak.render r = Soak.render base
-          | Soak.Killed st -> (
-              match Checkpoint.decode (downgrade_to_v1 (Checkpoint.encode st)) with
-              | Error _ -> false
-              | Ok st_v1 -> (
-                  match Soak.run ~resume_from:st_v1 scenario small_config with
-                  | Soak.Killed _ -> false
-                  | Soak.Completed resumed ->
-                      Soak.render resumed = Soak.render base
-                      && Event_log.render resumed.Soak.log
-                         = Event_log.render base.Soak.log))))
+let test_old_checkpoint_headers_refused () =
+  let text = Checkpoint.encode (killed small_scenario small_config) in
+  List.iter
+    (fun v ->
+      match Checkpoint.decode (downgrade ~v text) with
+      | Ok _ -> Alcotest.failf "v%d checkpoint decoded" v
+      | Error m ->
+          let expected =
+            Printf.sprintf
+              "checkpoint: line 1: unsupported header \"dia-soak-checkpoint v%d\""
+              v
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "v%d refused at line 1" v)
+            expected
+            (String.sub m 0 (min (String.length m) (String.length expected))))
+    [ 1; 2 ]
 
 (* --- Competitive harness --- *)
 
@@ -380,9 +357,8 @@ let suite =
       test_soak_no_standby_falls_back_to_resolve;
     Alcotest.test_case "checkpoint v3 round-trips the standby map" `Quick
       test_checkpoint_v3_roundtrip_with_standbys;
-    Alcotest.test_case "v1 checkpoint upgrades and resumes bit-identically"
-      `Quick test_v1_checkpoint_upgrade_resumes_identically;
-    QCheck_alcotest.to_alcotest prop_v1_upgrade_bit_identical_at_any_kill;
+    Alcotest.test_case "v1 and v2 checkpoint headers are refused" `Quick
+      test_old_checkpoint_headers_refused;
     Alcotest.test_case "competitive harness measures and reproduces" `Quick
       test_competitive_harness_smoke;
     Alcotest.test_case "competitive harness validates parameters" `Quick
