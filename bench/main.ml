@@ -272,14 +272,18 @@ let coreset_build_clients =
   Array.init 10_000 (fun i -> i mod churn_nodes)
 
 (* Durability kernels. journal/append measures the write-ahead hot path
-   the soak loop pays per event batch — record framing, CRC-32 and the
-   batched flush — against the null device, so the number is the
-   journalling cost itself, not the disk. recovery/replay measures the
-   read side: parsing and CRC-verifying a 10k-record journal, the work
-   `--resume --state-dir` does before the deterministic re-execution. *)
-let journal_payload =
-  "t=12.5 join session=421 client=87 server=3\nt=12.5 drained session=17 \
-   client=88 server=1\n"
+   the soak loop pays per event — encoding a trace event with
+   Trace.to_line, record framing, CRC-32 and the batched flush — against
+   the null device, so the number is the journalling cost itself, not
+   the disk. recovery/replay measures the read side: parsing,
+   CRC-verifying, decoding and checking a 10k-record journal
+   (Soak.journal_tail), the work `--resume --state-dir` does before it
+   folds the journaled events. Both use the first 10k events of the
+   default scenario run long enough to have them. *)
+let journal_scenario = { Dia_runtime.Soak.default_scenario with horizon = 6000. }
+
+let journal_events =
+  Array.sub (Dia_runtime.Soak.build_trace journal_scenario) 0 10_000
 
 let make_journal_append_kernel ~batch =
   let w =
@@ -288,18 +292,27 @@ let make_journal_append_kernel ~batch =
   let cursor = ref 0 in
   fun () ->
     for _ = 1 to batch do
-      Dia_runtime.Journal.append w ~cursor:!cursor journal_payload;
+      Dia_runtime.Journal.append w ~cursor:!cursor
+        (Dia_runtime.Trace.to_line journal_events.(!cursor mod 10_000));
       incr cursor
     done
 
-let replay_journal_path =
-  let path = Filename.temp_file "dia_bench_journal" ".wal" in
-  let w = Dia_runtime.Journal.create ~path ~digest:"bench" ~base:0 () in
-  for cursor = 0 to 9_999 do
-    Dia_runtime.Journal.append w ~cursor journal_payload
-  done;
+let replay_start =
+  Dia_runtime.Soak.initial journal_scenario Dia_runtime.Soak.default_config
+
+let replay_dir =
+  let dir = Filename.temp_file "dia_bench_state" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let w =
+    Dia_runtime.Journal.create ~path:(Filename.concat dir "journal")
+      ~digest:replay_start.Dia_runtime.Checkpoint.digest ~base:0 ()
+  in
+  Array.iteri
+    (fun cursor e -> Dia_runtime.Journal.append w ~cursor (Dia_runtime.Trace.to_line e))
+    journal_events;
   Dia_runtime.Journal.close w;
-  path
+  dir
 
 let make_failover_kernel ~clients ~promote =
   let session = Dia_core.Dynamic.create churn_matrix ~servers:churn_servers in
@@ -379,9 +392,11 @@ let tests =
       (Staged.stage (make_journal_append_kernel ~batch:50));
     Test.make ~name:"recovery/replay(n=10k)"
       (Staged.stage (fun () ->
-           match Dia_runtime.Journal.read replay_journal_path with
-           | Ok j -> List.length j.Dia_runtime.Journal.records
-           | Error m -> failwith m));
+           match
+             Dia_runtime.Soak.journal_tail journal_scenario ~dir:replay_dir replay_start
+           with
+           | events, None -> List.length events
+           | _, Some m -> failwith m));
     Test.make ~name:"failover/promote(clients=1000)"
       (Staged.stage (make_failover_kernel ~clients:1_000 ~promote:true));
     Test.make ~name:"failover/resolve(clients=1000)"

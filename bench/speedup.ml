@@ -169,13 +169,16 @@ let () =
 (* Journal-overhead gate: the durability layer's per-event tax on the
    churn/steady-state kernel — the same steady Dynamic session the
    bechamel suite holds, with and without a write-ahead append per
-   event. Buffered framing + CRC against the null device, exactly what
-   the soak loop pays between flushes; the gate fails if it costs more
-   than --journal-max-overhead of the plain batch. *)
+   event. Each append encodes an event of the default scenario's trace
+   (Trace.to_line), then frames and CRCs it into the buffer flushed to
+   the null device, exactly what the soak loop pays between flushes;
+   the gate fails if it costs more than --journal-max-overhead of the
+   plain batch. *)
 let () =
   let nodes = 400 in
   let matrix = Dia_latency.Synthetic.internet_like ~seed:6 nodes in
   let servers = Placement.random ~seed:6 ~k:10 ~n:nodes in
+  let events = Dia_runtime.Soak.build_trace Dia_runtime.Soak.default_scenario in
   let make_kernel ~journal =
     let session = Dia_core.Dynamic.create matrix ~servers in
     let live = Queue.create () in
@@ -199,7 +202,7 @@ let () =
         match w with
         | Some w ->
             Dia_runtime.Journal.append w ~cursor:!cursor
-              "t=12.5 join session=421 client=87 server=3\n"
+              (Dia_runtime.Trace.to_line events.(!cursor mod Array.length events))
         | None -> ()
       done;
       ignore (Dia_core.Dynamic.rebalance ~max_moves:8 session)

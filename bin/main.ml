@@ -618,11 +618,14 @@ let soak_cmd =
     Arg.(value & opt (some string) None
          & info [ "state-dir" ] ~docv:"DIR"
              ~doc:"Durable-recovery state directory: write-ahead journal of \
-                   event-log lines plus numbered checkpoint generations \
+                   trace events plus numbered checkpoint generations \
                    ($(b,ckpt.N)), all written through the storage fault \
                    injector (disk atoms in $(b,--fault) apply). With \
                    $(b,--resume), restore lands on the newest generation \
-                   that verifies, rolling back over corrupt ones.")
+                   that verifies, rolling back over corrupt ones, and the \
+                   journaled events past it are applied before the seeded \
+                   trace; without it, an old journal in $(docv) is \
+                   ignored and overwritten.")
   in
   let keep_arg =
     Arg.(value & opt int 3
@@ -642,10 +645,11 @@ let soak_cmd =
          & info [ "verify-recovery" ]
              ~doc:"Audit the whole durability story: run uninterrupted, \
                    re-run into $(b,--state-dir) with the plan's disk faults \
-                   live and a kill at $(b,--kill-event), restore, resume, \
-                   and assert the recovered report, event log and journal \
-                   are byte-identical to the uninterrupted run. Exits \
-                   non-zero on any divergence.")
+                   live and a kill at $(b,--kill-event), restore, check \
+                   that the journal holds every event up to the kill, \
+                   resume through the journal, and assert the recovered \
+                   report and event log are byte-identical to the \
+                   uninterrupted run. Exits non-zero on any divergence.")
   in
   let log_arg =
     Arg.(value & opt (some string) None
@@ -800,24 +804,26 @@ let soak_cmd =
     else if resume then
       match (state_dir, checkpoint) with
       | Some dir, _ -> (
-          let r =
-            Dia_runtime.Recovery.restore ~dir
-              ~digest:(Soak.digest scenario config)
-          in
+          let r = Dia_runtime.Recovery.restore ~dir scenario config in
           List.iter
             (fun (g, m) -> Printf.printf "(skipping corrupt ckpt.%d: %s)\n" g m)
             r.Dia_runtime.Recovery.skipped;
           match r.Dia_runtime.Recovery.generation with
           | Some (g, st) ->
               Printf.printf
-                "(restored generation ckpt.%d at event %d; %d journal records \
-                 cover the tail)\n"
-                g st.Checkpoint.cursor r.Dia_runtime.Recovery.replayed;
+                "(restored generation ckpt.%d at event %d; applying %d \
+                 journaled events before the seeded trace%s)\n"
+                g st.Checkpoint.cursor r.Dia_runtime.Recovery.replayed
+                (match r.Dia_runtime.Recovery.journal_note with
+                | None -> ""
+                | Some m -> "; journal: " ^ m);
               proceed (Some st)
           | None ->
-              print_endline
-                "(no verifying checkpoint generation; restarting from scratch)";
-              proceed None)
+              Printf.printf
+                "(no verifying checkpoint generation; restarting from scratch, \
+                 applying %d journaled events first)\n"
+                r.Dia_runtime.Recovery.replayed;
+              proceed (Some r.Dia_runtime.Recovery.resume))
       | None, Some path -> (
           match Checkpoint.load path with
           | Ok st -> proceed (Some st)

@@ -17,6 +17,19 @@ val float_of_str : string -> float
 
     @raise Failure on malformed input. *)
 
+val put_string : Bytes.t -> int -> string -> int
+(** [put_string b pos s] writes [s] into [b] (which must have room) at
+    [pos] and returns the end position, as do the other [put_*]. *)
+
+val put_int : Bytes.t -> int -> int -> int
+(** The decimal text of an int ([%d]), at most 20 bytes. *)
+
+val put_float_hex : Bytes.t -> int -> float -> int
+(** The exact hexadecimal text of a float, the bytes of
+    [Printf.sprintf "%h"] ([0x1.9p+3] for [12.5]), at most 24 bytes.
+    {!float_of_str} reads it back bit for bit, and it costs a small
+    fraction of {!float_str} on values needing all 17 digits. *)
+
 val escape : string -> string
 (** Newlines and backslashes escaped so any string fits on one
     key=value line. *)

@@ -55,7 +55,8 @@ type kind =
   | Recovery of { generation : int; skipped : int; replayed : int }
       (** a restore landed on checkpoint generation [generation] after
           skipping [skipped] newer corrupt generations, with [replayed]
-          committed journal records covering the tail. Written to the
+          journaled trace events to fold before the seeded trace takes
+          over ({!Soak.journal_tail}). Written to the
           recovery side-channel log (never the canonical soak log, whose
           bytes must stay identical to the uninterrupted run's) — a
           non-primary restore is an operator-visible event, not part of

@@ -1,4 +1,4 @@
-let magic = "dia-soak-journal v1"
+let magic = "dia-soak-journal v2"
 
 (* --- writer ----------------------------------------------------------- *)
 
@@ -37,8 +37,8 @@ let create ?disk ?(flush_every = 32) ~path ~digest ~base () =
       oc = open_out_bin path;
       disk;
       buf = Buffer.create 4096;
-      (* "rec cursor=" + 19 digits + " len=" + 19 digits + " crc=" + 8
-         hex + '\n' tops out well under 80 bytes *)
+      (* "rec cursor=" + 20 digits + " len=" + 20 digits + " crc=" + 8
+         hex + '\n' tops out at 70 bytes *)
       scratch = Bytes.create 80;
       flush_every;
       pending = 0;
@@ -53,40 +53,15 @@ let create ?disk ?(flush_every = 32) ~path ~digest ~base () =
   flush w;
   w
 
-(* Non-negative decimal into [b] at [pos]; returns the end position. *)
-let put_int b pos v =
-  let digits =
-    let n = ref 1 and x = ref v in
-    while !x >= 10 do
-      incr n;
-      x := !x / 10
-    done;
-    !n
-  in
-  let x = ref v in
-  for i = digits - 1 downto 0 do
-    Bytes.unsafe_set b (pos + i) (Char.unsafe_chr (48 + (!x mod 10)));
-    x := !x / 10
-  done;
-  pos + digits
-
-let put_str b pos s =
-  Bytes.blit_string s 0 b pos (String.length s);
-  pos + String.length s
-
 (* The per-event hot path: the header is framed by hand into the scratch
-   bytes — zero allocations per record; a [Printf.sprintf] here costs
-   more than the CRC of a typical record. *)
+   bytes — zero allocations per record. *)
 let append w ~cursor payload =
   if w.closed then invalid_arg "Journal.append: writer is closed";
   if cursor < 0 then invalid_arg "Journal.append: negative cursor";
   let s = w.scratch in
-  let pos = put_str s 0 "rec cursor=" in
-  let pos = put_int s pos cursor in
-  let pos = put_str s pos " len=" in
-  let pos = put_int s pos (String.length payload) in
-  let pos = put_str s pos " crc=" in
-  let pos = Crc.hex_into s pos (Crc.digest payload) in
+  let pos = Codec.put_int s (Codec.put_string s 0 "rec cursor=") cursor in
+  let pos = Codec.put_int s (Codec.put_string s pos " len=") (String.length payload) in
+  let pos = Crc.hex_into s (Codec.put_string s pos " crc=") (Crc.digest payload) in
   Bytes.unsafe_set s pos '\n';
   let b = w.buf in
   Buffer.add_subbytes b s 0 (pos + 1);

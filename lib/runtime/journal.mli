@@ -1,17 +1,13 @@
-(** The append-only write-ahead event journal.
+(** The append-only write-ahead input journal.
 
-    A journal records, per trace-event cursor, the {!Event_log} lines
-    that event appended — so recovery can restore the newest verifying
-    checkpoint generation and {e audit} its deterministic replay of the
-    journal tail byte-for-byte ({!Recovery.audit}). The soak trace is a
-    pure function of the scenario seed, so replay is re-execution; the
-    journal is what proves the re-execution reproduced exactly what the
-    killed run had already committed, making a kill at {e any} event
-    index (not just checkpoint boundaries) verifiably bit-identical.
+    A journal records, per trace-event cursor, the {!Trace} event the
+    soak is about to apply ({!Trace.to_line}): the run's input of
+    record, which a resume folds ({!Soak.journal_tail}) before it goes
+    on with the seeded trace. This module only frames opaque payloads.
 
     {b Format} (text-framed, binary-safe payloads):
     {v
-    dia-soak-journal v1
+    dia-soak-journal v2
     digest=<scenario/config digest>
     base=<first cursor this journal covers>
     rec cursor=<i> len=<n> crc=<crc32 of payload, 8 hex>
@@ -24,9 +20,9 @@
     {!close}); no fsync is issued. A crash can therefore lose or tear
     the {e last flushed chunk and everything after it} — never a prefix
     — and the reader treats the first invalid byte as the end of the
-    committed journal ({!journal.torn}). Records a crash swallowed are
-    regenerated identically by deterministic replay, so a lost tail
-    costs audit coverage, never correctness. *)
+    committed journal ({!journal.torn}). The events a crash swallowed
+    come from the seeded trace instead, so a lost tail never costs
+    correctness. *)
 
 (** {2 Writing} *)
 
@@ -49,7 +45,7 @@ val create :
     @raise Invalid_argument if [flush_every < 1]. *)
 
 val append : writer -> cursor:int -> string -> unit
-(** Append one record: the rendered log lines event [cursor] produced.
+(** Append one record: the encoded trace event at [cursor].
     Buffered; flushed every [flush_every] records.
 
     @raise Invalid_argument on a closed writer. *)

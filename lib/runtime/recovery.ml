@@ -4,111 +4,35 @@ let recovery_log_path dir = Filename.concat dir "recovery.log"
 type restore = {
   generation : (int * Checkpoint.state) option;
   skipped : (int * string) list;
-  journal : Journal.journal option;
+  resume : Checkpoint.state;
   journal_note : string option;
   replayed : int;
 }
 
-(* The rollback side-channel: Recovery entries are operator telemetry,
-   never part of the canonical soak log (whose bytes must stay identical
-   to the uninterrupted run's), so they append to their own file. *)
-let append_recovery_entry ~dir entry =
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644
-      (recovery_log_path dir)
+let restore ~dir scenario config =
+  let generation, skipped =
+    Generation.newest_verifying ~dir ~digest:(Soak.digest scenario config)
   in
-  output_string oc (Event_log.to_line entry ^ "\n");
-  close_out oc
-
-let restore ~dir ~digest =
-  let generation, skipped = Generation.newest_verifying ~dir ~digest in
-  let journal, journal_note =
-    match Journal.read (journal_path dir) with
-    | Error m -> (None, Some m)
-    | Ok j when j.Journal.digest <> digest ->
-        (None, Some "journal digest mismatch (different scenario/config)")
-    | Ok j -> (Some j, j.Journal.torn)
+  let resume =
+    match generation with Some (_, st) -> st | None -> Soak.initial scenario config
   in
-  let cursor =
-    match generation with Some (_, st) -> st.Checkpoint.cursor | None -> 0
-  in
-  let replayed =
-    match journal with
-    | None -> 0
-    | Some j ->
-        List.length
-          (List.filter (fun r -> r.Journal.cursor >= cursor) j.Journal.records)
-  in
-  (if skipped <> [] then
-     let time =
-       match generation with Some (_, st) -> st.Checkpoint.now | None -> 0.
-     in
-     let generation_n = match generation with Some (g, _) -> g | None -> 0 in
-     append_recovery_entry ~dir
-       {
-         Event_log.time;
-         kind =
-           Event_log.Recovery
-             { generation = generation_n; skipped = List.length skipped; replayed };
-       });
-  { generation; skipped; journal; journal_note; replayed }
-
-(* --- the byte-level audit --------------------------------------------- *)
-
-let is_prefix ~prefix s =
-  String.length prefix <= String.length s
-  && String.sub s 0 (String.length prefix) = prefix
-
-let is_suffix ~suffix s =
-  let ls = String.length suffix and n = String.length s in
-  ls <= n && String.sub s (n - ls) ls = suffix
-
-let contains ~sub s =
-  let ls = String.length sub and n = String.length s in
-  ls = 0
-  ||
-  let found = ref false in
-  let i = ref 0 in
-  while (not !found) && !i <= n - ls do
-    if String.sub s !i ls = sub then found := true else incr i
-  done;
-  !found
-
-let payloads records = String.concat "" (List.map (fun r -> r.Journal.payload) records)
-
-let audit ~journal ~restored ~final_log =
-  let final = Event_log.render final_log in
-  let cursor, pre =
-    match restored with
-    | Some st -> (st.Checkpoint.cursor, Event_log.render st.Checkpoint.log)
-    | None -> (0, "")
-  in
-  let head, tail =
-    List.partition (fun r -> r.Journal.cursor < cursor) journal.Journal.records
-  in
-  let audited = List.length journal.Journal.records in
-  if not (is_prefix ~prefix:pre final) then
-    Error "restored checkpoint log is not a byte-prefix of the final log"
-  else if journal.Journal.base > cursor then
-    (* Rolled back past the point this journal began (its base is the
-       killed process's resume cursor): the records can't be aligned to
-       a byte offset, but every committed one must still appear verbatim
-       in the replayed log. *)
-    if contains ~sub:(payloads journal.Journal.records) final then Ok audited
-    else Error "journal records missing from the replayed log"
-  else
-    let after =
-      String.sub final (String.length pre)
-        (String.length final - String.length pre)
+  let tail, journal_note = Soak.journal_tail scenario ~dir resume in
+  let replayed = List.length tail in
+  (* The rollback side-channel: Recovery entries are operator telemetry,
+     never part of the canonical soak log (whose bytes must stay
+     identical to the uninterrupted run's), so they go to their own file. *)
+  if skipped <> [] then begin
+    let generation = match generation with Some (g, _) -> g | None -> 0 in
+    let entry =
+      Event_log.Recovery { generation; skipped = List.length skipped; replayed }
     in
-    if not (is_prefix ~prefix:(payloads tail) after) then
-      Error
-        "journal tail does not byte-match the log replayed past the restored \
-         checkpoint"
-    else if not (is_suffix ~suffix:(payloads head) pre) then
-      Error
-        "journal head does not byte-match the restored checkpoint's own log"
-    else Ok audited
+    let oc =
+      open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (recovery_log_path dir)
+    in
+    output_string oc (Event_log.to_line { time = resume.now; kind = entry } ^ "\n");
+    close_out oc
+  end;
+  { generation; skipped; resume; journal_note; replayed }
 
 (* --- the end-to-end verification harness ------------------------------ *)
 
@@ -116,17 +40,22 @@ type verdict = { ok : bool; lines : string list }
 
 let verify ?(keep = 3) ~state_dir ~kill_at_event scenario config =
   let lines = ref [] and failed = ref false in
+  let line mark name d = lines := Printf.sprintf "%s %-24s %s" mark name d :: !lines in
   let check name ok detail =
     if not ok then failed := true;
-    lines :=
-      Printf.sprintf "%s %-24s %s" (if ok then "ok  " else "FAIL") name detail
-      :: !lines
+    line (if ok then "ok  " else "FAIL") name detail
   in
-  let note name detail =
-    lines := Printf.sprintf "     %-24s %s" name detail :: !lines
-  in
+  let note = line "    " in
   let verdict () = { ok = not !failed; lines = List.rev !lines } in
-  let dg = Soak.digest scenario config in
+  let matches base r =
+    check "report-bit-identical"
+      (Soak.render r = Soak.render base && Soak.csv r = Soak.csv base)
+      "render output and objective trace match the uninterrupted run";
+    check "log-bit-identical"
+      (Event_log.render r.Soak.log = Event_log.render base.Soak.log)
+      "event log matches the uninterrupted run byte-for-byte";
+    verdict ()
+  in
   match Soak.run scenario config with
   | Soak.Killed _ ->
       check "reference-run" false "uninterrupted run reported Killed";
@@ -146,68 +75,34 @@ let verify ?(keep = 3) ~state_dir ~kill_at_event scenario config =
           check "kill-fires" true
             (Printf.sprintf "kill_at_event %d past the last event; run completed"
                kill_at_event);
-          check "report-bit-identical" (Soak.render r = Soak.render base) "";
-          check "log-bit-identical"
-            (Event_log.render r.Soak.log = Event_log.render base.Soak.log)
-            "";
-          verdict ()
+          matches base r
       | Soak.Killed killed_st -> (
           check "kill-fires" true
             (Printf.sprintf "killed after event %d (cursor %d)" kill_at_event
                killed_st.Checkpoint.cursor);
-          let r = restore ~dir:state_dir ~digest:dg in
-          (match r.generation with
-          | Some (g, st) ->
-              check "generation-restored" true
-                (Printf.sprintf "ckpt.%d (cursor %d)%s" g st.Checkpoint.cursor
-                   (match r.skipped with
-                   | [] -> ""
-                   | sk ->
-                       Printf.sprintf "; rolled back over %d corrupt newer: %s"
-                         (List.length sk)
-                         (String.concat "; "
-                            (List.map
-                               (fun (g, m) -> Printf.sprintf "ckpt.%d: %s" g m)
-                               sk))))
-          | None ->
-              check "generation-restored" true
-                (Printf.sprintf
-                   "no verifying generation (%d corrupt); restarting from \
-                    scratch"
-                   (List.length r.skipped)));
+          let r = restore ~dir:state_dir scenario config in
+          check "generation-restored" true
+            (match r.generation with
+            | Some (g, st) -> Printf.sprintf "ckpt.%d (cursor %d)" g st.Checkpoint.cursor
+            | None -> "no verifying generation; restarting from scratch");
+          List.iter
+            (fun (g, m) -> note "rolled-back-over" (Printf.sprintf "ckpt.%d: %s" g m))
+            r.skipped;
+          (* The kill flushes the journal, so an intact one must carry
+             every event between the restored cursor and the kill: the
+             resume below then folds them rather than re-deriving them
+             from the seed, and the byte comparisons check that fold. *)
+          let lost = killed_st.Checkpoint.cursor - r.resume.Checkpoint.cursor in
           (match r.journal_note with
-          | Some m -> note "journal" m
-          | None -> ());
-          let resumed =
-            match r.generation with
-            | Some (_, st) -> Soak.run ~resume_from:st scenario config
-            | None -> Soak.run scenario config
-          in
-          match resumed with
+          | None ->
+              check "journal-carries-tail" (r.replayed = lost)
+                (Printf.sprintf "%d journaled events, %d expected" r.replayed lost)
+          | Some m ->
+              note "journal-replay"
+                (Printf.sprintf "%d of %d events journaled; %s" r.replayed lost m));
+          (* Resume exactly as [dia soak --resume --state-dir] does. *)
+          match Soak.run ~state_dir ~keep ~resume_from:r.resume scenario config with
           | Soak.Killed _ ->
               check "resume-completes" false "resumed run reported Killed";
               verdict ()
-          | Soak.Completed resumed ->
-              check "report-bit-identical"
-                (Soak.render resumed = Soak.render base)
-                "render output matches the uninterrupted run byte-for-byte";
-              check "log-bit-identical"
-                (Event_log.render resumed.Soak.log
-                = Event_log.render base.Soak.log)
-                "event log matches the uninterrupted run byte-for-byte";
-              (match r.journal with
-              | None ->
-                  note "journal-audit"
-                    "no committed journal to audit (header lost)"
-              | Some j -> (
-                  match
-                    audit ~journal:j
-                      ~restored:(Option.map snd r.generation)
-                      ~final_log:resumed.Soak.log
-                  with
-                  | Ok n ->
-                      check "journal-audit" true
-                        (Printf.sprintf
-                           "%d committed records byte-match the replay" n)
-                  | Error m -> check "journal-audit" false m));
-              verdict ()))
+          | Soak.Completed resumed -> matches base resumed))

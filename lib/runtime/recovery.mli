@@ -1,14 +1,12 @@
 (** Crash recovery: land on the newest verifying checkpoint generation,
-    replay the journal tail, prove bit-identity.
+    fold the journal tail, prove bit-identity.
 
-    The soak trace is a pure function of the scenario seed, so {e
-    replay is re-execution}: restoring generation [g] and re-running
-    from its cursor reproduces the killed run's future exactly. What
-    recovery adds is {e verification} — picking the newest generation
-    whose checksums and digest hold (rolling back over corrupt ones),
-    and auditing that the re-execution byte-matches every event-log
-    record the killed run had already committed to its write-ahead
-    journal. A rollback to a non-primary generation is recorded as a
+    Resuming from generation [g] with the same [state_dir] makes
+    {!Soak.run} fold its step over the journaled trace events from [g]'s
+    cursor ({!Soak.journal_tail}), then continue from the seeded trace:
+    the journal is the input of record, and replay is that fold.
+    Recovery picks the generation: the newest whose checksums and digest
+    hold, rolling back over corrupt ones. A rollback is recorded as a
     [recovery]-kind {!Event_log} entry in the side-channel file
     [recovery.log] (never the canonical log, which must stay
     bit-identical to the uninterrupted run's). *)
@@ -25,32 +23,20 @@ type restore = {
   skipped : (int * string) list;
       (** newer generations rejected (corrupt or wrong digest), newest
           first, with reasons *)
-  journal : Journal.journal option;
-      (** the committed journal, when its header survived and its digest
-          matches *)
+  resume : Checkpoint.state;
+      (** what to resume from: the generation's state, or
+          {!Soak.initial} when none verifies *)
   journal_note : string option;
-      (** why the journal is absent or where its tail tore, if so *)
+      (** why the journal tail is empty or ends early ({!Soak.journal_tail}) *)
   replayed : int;
-      (** committed journal records at or past the restore cursor — the
-          tail that re-execution will be audited against *)
+      (** length of the tail a resume from [resume] with this [state_dir]
+          folds before the seeded trace *)
 }
 
-val restore : dir:string -> digest:string -> restore
+val restore : dir:string -> Soak.scenario -> Soak.config -> restore
 (** Scan [dir] and decide where to resume from. Pure inspection apart
     from the side-channel: when the restore had to skip corrupt newer
     generations, a [recovery] entry is appended to {!recovery_log_path}. *)
-
-val audit :
-  journal:Journal.journal ->
-  restored:Checkpoint.state option ->
-  final_log:Event_log.entry list ->
-  (int, string) result
-(** Byte-level audit of a completed recovery: the restored checkpoint's
-    log must be a prefix of the final log, the journal records past the
-    restore cursor must byte-match the replayed continuation, and the
-    records the checkpoint already covered must byte-match its own log.
-    [Ok n] audited [n] committed records; [Error] pinpoints the first
-    divergence. *)
 
 type verdict = { ok : bool; lines : string list }
 
@@ -65,6 +51,9 @@ val verify :
   verdict
 (** Run the scenario uninterrupted; run it again into [state_dir] with
     the plan's disk faults live and a kill after event [kill_at_event];
-    {!restore}; resume; then check that the recovered report and event
-    log are bit-identical to the uninterrupted run and that the journal
-    {!audit} passes. [lines] is the human-readable transcript. *)
+    {!restore}; check that an intact journal holds every event between
+    the restored cursor and the kill; resume exactly as
+    [dia soak --resume --state-dir] does (same [state_dir] and [keep],
+    so the journal tail is folded); then check that the recovered
+    report and event log are bit-identical to the uninterrupted run.
+    [lines] is the human-readable transcript. *)

@@ -247,432 +247,330 @@ exception Kill of Checkpoint.state
 
 let level_rank = function Slo.Healthy -> 0 | Slo.Degraded -> 1 | Slo.Critical -> 2
 
-let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
-    ?kill_at_event scenario config =
-  validate scenario config;
-  if keep < 1 then invalid_arg "Soak: keep must be >= 1";
-  (match kill_at_event with
-  | Some n when n < 0 -> invalid_arg "Soak: kill_at_event must be >= 0"
-  | _ -> ());
-  let disk =
-    match disk with Some d -> d | None -> Disk.create scenario.fault
-  in
-  let dg = digest scenario config in
-  let matrix =
-    Dia_latency.Synthetic.internet_like ~seed:scenario.seed scenario.nodes
-  in
-  let server_nodes =
-    place ~seed:scenario.seed ~servers:scenario.servers ~nodes:scenario.nodes
-  in
-  let trace = build_trace scenario in
-  (* --- controller state: fresh, or rebuilt from a checkpoint --- *)
-  let session, sessions, admission, slo, start_cursor =
-    match resume_from with
-    | None ->
-        ( Dynamic.create ?capacity:scenario.capacity ?delay:scenario.delay matrix
-            ~servers:server_nodes,
-          Hashtbl.create 256,
-          Admission.create ~max_queue:config.max_queue,
-          Slo.create config.slo,
-          0 )
-    | Some st ->
-        if st.Checkpoint.digest <> dg then
-          invalid_arg
-            "Soak.run: checkpoint digest mismatch (different scenario/config)";
-        let session =
-          Dynamic.restore ?capacity:st.Checkpoint.capacity
-            ?delay:scenario.delay
-            ~standbys:st.Checkpoint.standbys
-            matrix ~servers:server_nodes ~members:st.Checkpoint.members
-            ~next_id:st.Checkpoint.next_id ~failed:st.Checkpoint.failed
-            ~drift:st.Checkpoint.drift ~stats:st.Checkpoint.session_stats
-        in
-        let sessions = Hashtbl.create 256 in
-        List.iter
-          (fun (sid, id) -> Hashtbl.replace sessions sid id)
-          st.Checkpoint.sessions;
-        let admission = Admission.create ~max_queue:config.max_queue in
-        admission.Admission.queue <- st.Checkpoint.queue;
-        admission.Admission.admitted <- st.Checkpoint.admitted;
-        admission.Admission.queued <- st.Checkpoint.queued;
-        admission.Admission.shed <- st.Checkpoint.shed;
-        admission.Admission.drained <- st.Checkpoint.drained;
-        admission.Admission.abandoned <- st.Checkpoint.abandoned;
-        (session, sessions, admission, Slo.decode config.slo st.Checkpoint.slo,
-         st.Checkpoint.cursor)
-  in
-  (* Weighted mode: the [sessions] table maps session id -> original
-     node (not Dynamic client id), and a coreset bucket layer in front
-     of the Dynamic turns most joins/leaves into O(1) counter bumps.
-     The layer is rebuilt canonically from the session list on resume —
-     the checkpoint format does not change. *)
-  let weighted =
-    match scenario.coreset_eps with
-    | None -> None
-    | Some eps ->
-        let counts = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun _sid node ->
-            Hashtbl.replace counts node
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts node)))
-          sessions;
-        let counts = Hashtbl.fold (fun node c acc -> (node, c) :: acc) counts [] in
-        Some (Weighted.attach ~seed:scenario.seed ~eps matrix ~counts session)
-  in
-  (* Connect/disconnect one session, in either mode; both return the
-     Dynamic client id the event log names (in weighted mode, the id of
-     the bucket's representative member). *)
-  let connect sid node =
-    match weighted with
-    | Some w ->
-        Weighted.add w ~node;
-        Hashtbl.replace sessions sid node;
-        Weighted.handle w ~node
-    | None ->
-        let id = Dynamic.join session ~node in
-        Hashtbl.replace sessions sid id;
-        id
-  in
-  let disconnect sid value =
-    Hashtbl.remove sessions sid;
-    match weighted with
-    | Some w ->
-        let id = Weighted.handle w ~node:value in
-        Weighted.remove w ~node:value;
-        id
-    | None ->
-        Dynamic.leave session value;
-        value
-  in
-  let connected () =
-    match weighted with
-    | Some w -> Weighted.sessions w
-    | None -> Dynamic.num_clients session
-  in
-  (* Pre-populate the base load (fresh runs only — a resumed run carries
-     it in the checkpointed session list). Synthetic sessions use
-     negative ids, which no trace event references, so they never leave;
-     they bypass admission control and the event log (a million log
-     lines would drown the signal). *)
-  let prepop_seconds = ref 0. in
-  (match resume_from with
-  | Some _ -> ()
+(* --- the controller state ------------------------------------------- *)
+
+(* Everything the control loop reads and writes between two events. A
+   run is [of_checkpoint] of a checkpoint (the empty cursor-0 one for a
+   fresh run) and [capture] turns it back into one; those two are the
+   only code that lists the fields. Lists are newest first. *)
+type state = {
+  scenario : scenario;
+  config : config;
+  digest : string;
+  session : Dynamic.t;
+  sessions : (int, int) Hashtbl.t;
+      (* trace session -> Dynamic client id (classic) or node (weighted) *)
+  weighted : Weighted.t option;
+      (* a coreset bucket layer in front of the Dynamic turns most
+         joins/leaves into O(1) counter bumps *)
+  admission : Admission.t;
+  slo : Slo.t;
+  mutable now : float;  (* trace time of the last applied event *)
+  mutable leaves : int;
+  mutable crashes : int;
+  mutable crashes_skipped : int;
+  mutable recoveries : int;
+  mutable drifts : int;
+  mutable stranded : int;
+  mutable repairs : int;
+  mutable repair_moves : int;
+  mutable max_epoch_moves : int;
+  mutable protocol_epochs : int;
+  mutable protocol_stalls : int;
+  mutable rng_cursor : int;  (* sub-seed cursor of protocol epochs *)
+  mutable lb : float;
+  mutable events_since_lb : int;
+  mutable checkpoints : int;
+  mutable trace_points : (float * float * float) list;
+  mutable baseline_points : (float * float * float) list;
+  mutable log : Event_log.entry list;
+}
+
+let log_event st kind = st.log <- { Event_log.time = st.now; kind } :: st.log
+
+(* Connect/disconnect one session, in either mode; both return the
+   Dynamic client id the event log names (in weighted mode, the id of
+   the bucket's representative member). *)
+let connect st sid node =
+  match st.weighted with
+  | Some w ->
+      Weighted.add w ~node;
+      Hashtbl.replace st.sessions sid node;
+      Weighted.handle w ~node
   | None ->
-      if scenario.clients > 0 then begin
-        let t0 = Sys.time () in
-        let rng = Random.State.make [| scenario.seed; 0xc11e |] in
-        for i = 1 to scenario.clients do
-          let node = Random.State.int rng scenario.nodes in
-          ignore (connect (-i) node)
-        done;
-        prepop_seconds := Sys.time () -. t0
-      end);
-  let leaves = ref 0 and crashes = ref 0 and crashes_skipped = ref 0 in
-  let recoveries = ref 0 and drifts = ref 0 and stranded = ref 0 in
-  let repairs = ref 0 and repair_moves = ref 0 and max_epoch_moves = ref 0 in
-  let protocol_epochs = ref 0 and protocol_stalls = ref 0 in
-  let rng_cursor = ref 0 and lb = ref nan and events_since_lb = ref 0 in
-  let checkpoints = ref 0 in
-  let trace_points = ref [] (* newest first *) and log = ref [] in
-  let baseline_points = ref [] (* newest first *) in
-  (match resume_from with
-  | None -> ()
-  | Some st ->
-      leaves := st.Checkpoint.leaves;
-      crashes := st.Checkpoint.crashes;
-      crashes_skipped := st.Checkpoint.crashes_skipped;
-      recoveries := st.Checkpoint.recoveries;
-      drifts := st.Checkpoint.drifts;
-      stranded := st.Checkpoint.stranded;
-      repairs := st.Checkpoint.repairs;
-      repair_moves := st.Checkpoint.repair_moves;
-      max_epoch_moves := st.Checkpoint.max_epoch_moves;
-      protocol_epochs := st.Checkpoint.protocol_epochs;
-      protocol_stalls := st.Checkpoint.protocol_stalls;
-      rng_cursor := st.Checkpoint.rng_cursor;
-      lb := st.Checkpoint.lb;
-      events_since_lb := st.Checkpoint.events_since_lb;
-      checkpoints := st.Checkpoint.checkpoints;
-      trace_points := List.rev st.Checkpoint.trace_points;
-      baseline_points := List.rev st.Checkpoint.baseline_points;
-      log := List.rev st.Checkpoint.log);
-  let log_event time kind = log := { Event_log.time; kind } :: !log in
-  let has_capacity () =
-    match scenario.capacity with
-    | None -> Dynamic.active_servers session <> []
-    | Some c ->
-        List.exists
-          (fun s -> Dynamic.load session s < c)
-          (Dynamic.active_servers session)
-  in
-  (* The offline instance over the *surviving* servers, with the drifted
-     matrix: what lower bounds and re-solves must be measured against.
-     Also returns survivor index -> full server index. *)
-  let survivor_problem () =
-    if Dynamic.num_clients session = 0 then None
+      let id = Dynamic.join st.session ~node in
+      Hashtbl.replace st.sessions sid id;
+      id
+
+let disconnect st sid value =
+  Hashtbl.remove st.sessions sid;
+  match st.weighted with
+  | Some w ->
+      let id = Weighted.handle w ~node:value in
+      Weighted.remove w ~node:value;
+      id
+  | None ->
+      Dynamic.leave st.session value;
+      value
+
+let has_capacity st =
+  match st.scenario.capacity with
+  | None -> Dynamic.active_servers st.session <> []
+  | Some c ->
+      List.exists
+        (fun s -> Dynamic.load st.session s < c)
+        (Dynamic.active_servers st.session)
+
+(* The offline instance over the *surviving* servers, with the drifted
+   matrix: what lower bounds and re-solves must be measured against.
+   Also returns survivor index -> full server index. *)
+let survivor_problem st =
+  if Dynamic.num_clients st.session = 0 then None
+  else
+    let p_full, _ = Dynamic.snapshot st.session in
+    let live = Array.of_list (Dynamic.active_servers st.session) in
+    if Array.length live = Problem.num_servers p_full then Some (p_full, live)
     else
-      let p_full, _ = Dynamic.snapshot session in
-      let live = Array.of_list (Dynamic.active_servers session) in
-      if Array.length live = Problem.num_servers p_full then Some (p_full, live)
-      else
-        let full_servers = Problem.servers p_full in
-        let servers = Array.map (fun s -> full_servers.(s)) live in
-        let p =
-          Problem.make ?capacity:scenario.capacity
-            ~latency:(Problem.latency p_full) ~servers
-            ~clients:(Problem.clients p_full) ()
-        in
-        Some (p, live)
-  in
-  (* With a delay model the control plane watches the load-aware pair —
-     D_load(A) against LB_load — the same objective the session's
-     placement scans minimise; without one, everything below reduces to
-     the historical D/LB and is byte-identical to earlier versions. *)
-  let objective_name =
-    match scenario.delay with None -> "d" | Some _ -> "d_load"
-  in
-  let objective_now () =
-    match scenario.delay with
-    | None -> Dynamic.objective session
-    | Some _ -> Dynamic.objective_load session
-  in
-  let resolve_now p =
-    let delay = scenario.delay in
-    Objective.max_interaction_path ?delay p (Greedy.assign ?delay p)
-  in
-  let recompute_lb now =
-    events_since_lb := 0;
-    (* The session maintains the bound incrementally (node-level, live
-       servers only) — equal to [Lower_bound.compute] on the survivor
-       problem up to float association, at amortized O(|S|) instead of
-       O(n²·|S|) per refresh. *)
-    if Dynamic.num_clients session = 0 then lb := nan
-    else
-      lb :=
-        (match scenario.delay with
-        | None -> Dynamic.lower_bound session
-        | Some _ -> Dynamic.lower_bound_load session);
-    let obj = objective_now () in
-    let ratio = if !lb > 0. && Float.is_finite obj then obj /. !lb else nan in
-    trace_points := (now, obj, ratio) :: !trace_points;
-    (* Competitive-ratio sampling: at every refresh point, pit the online
-       (sticky) objective against a fresh offline Greedy re-solve over
-       the same survivors — the baseline the empirical competitive ratio
-       is measured from. *)
-    if config.offline_baseline then
-      match survivor_problem () with
-      | None -> ()
-      | Some (p, _) ->
-          let resolve = resolve_now p in
-          baseline_points := (now, obj, resolve) :: !baseline_points
-  in
-  let current_ratio () =
-    let obj = objective_now () in
-    if !lb > 0. && Float.is_finite obj then obj /. !lb else nan
-  in
-  (* Protocol-level repair epoch: run Distributed-Greedy over the
-     survivors under the ambient fault plan, restarting stalled runs
-     with a doubled deadline (capped exponential backoff), then apply
-     the plan move-by-move iff it strictly improves the objective and
-     fits the remaining epoch budget. *)
-  let protocol_epoch now epoch_moves =
-    match survivor_problem () with
+      let full_servers = Problem.servers p_full in
+      let servers = Array.map (fun s -> full_servers.(s)) live in
+      let p =
+        Problem.make ?capacity:st.scenario.capacity
+          ~latency:(Problem.latency p_full) ~servers
+          ~clients:(Problem.clients p_full) ()
+      in
+      Some (p, live)
+
+(* With a delay model the control plane watches the load-aware pair —
+   D_load(A) against LB_load — the same objective the session's
+   placement scans minimise; without one, everything below reduces to
+   the historical D/LB and is byte-identical to earlier versions. *)
+let objective_now st =
+  match st.scenario.delay with
+  | None -> Dynamic.objective st.session
+  | Some _ -> Dynamic.objective_load st.session
+
+let resolve_now st p =
+  let delay = st.scenario.delay in
+  Objective.max_interaction_path ?delay p (Greedy.assign ?delay p)
+
+let ratio_of st obj = if st.lb > 0. && Float.is_finite obj then obj /. st.lb else nan
+let current_ratio st = ratio_of st (objective_now st)
+
+let recompute_lb st =
+  st.events_since_lb <- 0;
+  (* The session maintains the bound incrementally (node-level, live
+     servers only) — equal to [Lower_bound.compute] on the survivor
+     problem up to float association, at amortized O(|S|) instead of
+     O(n²·|S|) per refresh. *)
+  st.lb <-
+    (if Dynamic.num_clients st.session = 0 then nan
+     else
+       match st.scenario.delay with
+       | None -> Dynamic.lower_bound st.session
+       | Some _ -> Dynamic.lower_bound_load st.session);
+  let obj = objective_now st in
+  st.trace_points <- (st.now, obj, ratio_of st obj) :: st.trace_points;
+  (* Competitive-ratio sampling: at every refresh point, pit the online
+     (sticky) objective against a fresh offline Greedy re-solve over
+     the same survivors — the baseline the empirical competitive ratio
+     is measured from. *)
+  if st.config.offline_baseline then
+    match survivor_problem st with
     | None -> ()
-    | Some (p, live) ->
-        let base_tuning = Dgreedy_protocol.default_tuning p in
-        (* Disk rules are not network weather: a plan that only injects
-           storage faults must leave protocol-repair epochs running over
-           a reliable network, byte-identical to the disk-fault-free run. *)
-        let ambient =
-          not (Fault.equal (Fault.network_rules scenario.fault) Fault.reliable)
-        in
-        let rec attempt n tuning =
-          let seed = scenario.seed + 0x5eed + (7919 * !rng_cursor) in
-          incr rng_cursor;
-          let fault =
-            if ambient then Some (Fault.instantiate ~seed scenario.fault)
-            else None
-          in
-          let res = Dgreedy_protocol.run ?fault ~tuning p in
-          incr protocol_epochs;
-          if res.Dgreedy_protocol.stalled then begin
-            incr protocol_stalls;
-            if n < config.max_protocol_attempts then
-              attempt (n + 1)
-                {
-                  tuning with
-                  Dgreedy_protocol.deadline =
-                    tuning.Dgreedy_protocol.deadline *. 2.;
-                }
-            else (n, res)
-          end
+    | Some (p, _) ->
+        st.baseline_points <- (st.now, obj, resolve_now st p) :: st.baseline_points
+
+(* A capacitated plan may need a specific move order to stay feasible
+   at every intermediate step; find one, or refuse. *)
+let feasible_order st plan_moves =
+  match st.scenario.capacity with
+  | None -> Some plan_moves
+  | Some cap ->
+      let loads = Array.init st.scenario.servers (Dynamic.load st.session) in
+      let order = ref [] and pending = ref plan_moves in
+      let progress = ref true in
+      while !pending <> [] && !progress do
+        progress := false;
+        pending :=
+          List.filter
+            (fun (id, src, dst) ->
+              if loads.(dst) < cap then begin
+                loads.(dst) <- loads.(dst) + 1;
+                loads.(src) <- loads.(src) - 1;
+                order := (id, src, dst) :: !order;
+                progress := true;
+                false
+              end
+              else true)
+            !pending
+      done;
+      if !pending = [] then Some (List.rev !order) else None
+
+(* Protocol-level repair epoch: run Distributed-Greedy over the
+   survivors under the ambient fault plan, restarting stalled runs with
+   a doubled deadline (capped exponential backoff), then apply the plan
+   move-by-move iff it strictly improves the objective and fits the
+   remaining epoch budget. Returns the moves applied. *)
+let protocol_epoch st ~epoch_moves =
+  match survivor_problem st with
+  | None -> 0
+  | Some (p, live) ->
+      let sc = st.scenario and cfg = st.config in
+      (* Disk rules are not network weather: a plan that only injects
+         storage faults must leave protocol-repair epochs running over a
+         reliable network, byte-identical to the disk-fault-free run. *)
+      let ambient = not (Fault.equal (Fault.network_rules sc.fault) Fault.reliable) in
+      let rec attempt n tuning =
+        let seed = sc.seed + 0x5eed + (7919 * st.rng_cursor) in
+        st.rng_cursor <- st.rng_cursor + 1;
+        let fault = if ambient then Some (Fault.instantiate ~seed sc.fault) else None in
+        let res = Dgreedy_protocol.run ?fault ~tuning p in
+        st.protocol_epochs <- st.protocol_epochs + 1;
+        if res.Dgreedy_protocol.stalled then begin
+          st.protocol_stalls <- st.protocol_stalls + 1;
+          if n < cfg.max_protocol_attempts then
+            attempt (n + 1)
+              {
+                tuning with
+                Dgreedy_protocol.deadline = tuning.Dgreedy_protocol.deadline *. 2.;
+              }
           else (n, res)
-        in
-        let attempts, res = attempt 1 base_tuning in
-        let members = Dynamic.members session in
-        let target = Assignment.to_array res.Dgreedy_protocol.assignment in
-        let plan_moves =
-          List.mapi (fun i (id, _node, server) -> (i, id, server)) members
-          |> List.filter_map (fun (i, id, server) ->
-                 let dst = live.(target.(i)) in
-                 if dst <> server then Some (id, server, dst) else None)
-        in
-        let n_moves = List.length plan_moves in
-        let improves =
-          Float.is_finite res.Dgreedy_protocol.objective
-          && res.Dgreedy_protocol.objective < Dynamic.objective session
-        in
-        let fits = n_moves > 0 && !epoch_moves + n_moves <= config.budget in
-        (* A capacitated plan may need a specific move order to stay
-           feasible at every intermediate step; find one, or refuse. *)
-        let order =
-          if not (improves && fits) then None
-          else
-            match scenario.capacity with
-            | None -> Some plan_moves
-            | Some cap ->
-                let loads =
-                  Array.init scenario.servers (fun s -> Dynamic.load session s)
-                in
-                let order = ref [] and pending = ref plan_moves in
-                let progress = ref true in
-                while !pending <> [] && !progress do
-                  progress := false;
-                  pending :=
-                    List.filter
-                      (fun (id, src, dst) ->
-                        if loads.(dst) < cap then begin
-                          loads.(dst) <- loads.(dst) + 1;
-                          loads.(src) <- loads.(src) - 1;
-                          order := (id, src, dst) :: !order;
-                          progress := true;
-                          false
-                        end
-                        else true)
-                      !pending
-                done;
-                if !pending = [] then Some (List.rev !order) else None
-        in
-        let applied =
-          match order with
-          | None -> false
-          | Some moves ->
-              List.iter (fun (id, _src, dst) -> Dynamic.move session id dst) moves;
-              epoch_moves := !epoch_moves + n_moves;
-              repair_moves := !repair_moves + n_moves;
-              true
-        in
-        log_event now
-          (Event_log.Protocol_repair
-             {
-               attempt = attempts;
-               stalled = res.Dgreedy_protocol.stalled;
-               moves = n_moves;
-               applied;
-             })
-  in
-  let repair now to_ =
-    let epoch_moves = ref 0 in
-    let before = objective_now () in
-    let moves = Dynamic.rebalance ~max_moves:config.budget session in
-    epoch_moves := moves;
-    incr repairs;
-    repair_moves := !repair_moves + moves;
-    log_event now
-      (Event_log.Repair
-         { moves; budget = config.budget; before; after = objective_now () });
-    if to_ = Slo.Critical && config.protocol_repair then
-      protocol_epoch now epoch_moves;
-    if !epoch_moves > !max_epoch_moves then max_epoch_moves := !epoch_moves
-  in
-  let drain now =
-    if Slo.level slo = Slo.Healthy then begin
-      let continue = ref true in
-      while !continue do
-        if not (has_capacity ()) then continue := false
-        else
-          match Admission.pop admission with
-          | None -> continue := false
-          | Some (sid, node) ->
-              let id = connect sid node in
-              log_event now
-                (Event_log.Drained
-                   { session = sid; client = id; server = Dynamic.server_of session id })
-      done
-    end
-  in
-  (* Stranded orphans are never dropped on the floor: their trace
-     sessions re-enter admission control (capacity is gone, so they
-     queue under Healthy/Degraded and shed under Critical or a full
-     queue), exactly like a fresh arrival that found no room. *)
-  let requeue_stranded now stranded =
-    if stranded <> [] then begin
-      let by_id = Hashtbl.create 8 in
-      Hashtbl.iter (fun sid id -> Hashtbl.replace by_id id sid) sessions;
-      List.iter
-        (fun (id, node) ->
-          match Hashtbl.find_opt by_id id with
-          | None -> ()
-          | Some sid -> (
-              Hashtbl.remove sessions sid;
-              match
-                Admission.consider admission ~level:(Slo.level slo)
-                  ~has_capacity:false ~session:sid ~node
-              with
-              | Admission.Admit -> ()  (* unreachable: has_capacity is false *)
-              | Admission.Queue -> log_event now (Event_log.Queued { session = sid })
-              | Admission.Shed -> log_event now (Event_log.Shed { session = sid })))
-        stranded
-    end
-  in
-  let breach_pending = ref false in
-  let dispatch now kind =
-    match kind with
-    | Trace.Join { session = sid; node } -> (
-        match
-          Admission.consider admission ~level:(Slo.level slo)
-            ~has_capacity:(has_capacity ()) ~session:sid ~node
-        with
-        | Admission.Admit ->
-            let id = connect sid node in
-            log_event now
-              (Event_log.Join
-                 { session = sid; client = id; server = Dynamic.server_of session id });
-            false
-        | Admission.Queue ->
-            log_event now (Event_log.Queued { session = sid });
-            false
-        | Admission.Shed ->
-            log_event now (Event_log.Shed { session = sid });
-            false)
-    | Trace.Leave { session = sid } -> (
-        match Hashtbl.find_opt sessions sid with
-        | Some value ->
-            let id = disconnect sid value in
-            incr leaves;
-            log_event now (Event_log.Leave { session = sid; client = id });
-            false
-        | None ->
-            (* queued (abandon), shed, or stranded — nothing connected *)
-            ignore (Admission.abandon admission ~session:sid);
-            false)
-    | Trace.Crash { server } ->
-        let failed = Dynamic.failed_servers session in
-        let live = Dynamic.active_servers session in
-        if List.mem server failed || List.length live <= 1 then begin
-          incr crashes_skipped;
-          log_event now (Event_log.Crash_skipped { server });
-          false
         end
-        else if config.standby then begin
+        else (n, res)
+      in
+      let attempts, res = attempt 1 (Dgreedy_protocol.default_tuning p) in
+      let target = Assignment.to_array res.Dgreedy_protocol.assignment in
+      let plan_moves =
+        Dynamic.members st.session
+        |> List.mapi (fun i (id, _node, server) -> (i, id, server))
+        |> List.filter_map (fun (i, id, server) ->
+               let dst = live.(target.(i)) in
+               if dst <> server then Some (id, server, dst) else None)
+      in
+      let n_moves = List.length plan_moves in
+      let improves =
+        Float.is_finite res.Dgreedy_protocol.objective
+        && res.Dgreedy_protocol.objective < Dynamic.objective st.session
+      in
+      let fits = n_moves > 0 && epoch_moves + n_moves <= cfg.budget in
+      let order = if improves && fits then feasible_order st plan_moves else None in
+      Option.iter
+        (List.iter (fun (id, _src, dst) -> Dynamic.move st.session id dst))
+        order;
+      let applied = order <> None in
+      log_event st
+        (Event_log.Protocol_repair
+           {
+             attempt = attempts;
+             stalled = res.Dgreedy_protocol.stalled;
+             moves = n_moves;
+             applied;
+           });
+      if applied then n_moves else 0
+
+let repair st to_ =
+  let cfg = st.config in
+  let before = objective_now st in
+  let moves = Dynamic.rebalance ~max_moves:cfg.budget st.session in
+  st.repairs <- st.repairs + 1;
+  log_event st
+    (Event_log.Repair { moves; budget = cfg.budget; before; after = objective_now st });
+  let epoch_moves =
+    if to_ = Slo.Critical && cfg.protocol_repair then
+      moves + protocol_epoch st ~epoch_moves:moves
+    else moves
+  in
+  st.repair_moves <- st.repair_moves + epoch_moves;
+  if epoch_moves > st.max_epoch_moves then st.max_epoch_moves <- epoch_moves
+
+let drain st =
+  if Slo.level st.slo = Slo.Healthy then begin
+    let continue = ref true in
+    while !continue do
+      if not (has_capacity st) then continue := false
+      else
+        match Admission.pop st.admission with
+        | None -> continue := false
+        | Some (sid, node) ->
+            let id = connect st sid node in
+            log_event st
+              (Event_log.Drained
+                 { session = sid; client = id; server = Dynamic.server_of st.session id })
+    done
+  end
+
+(* Stranded orphans are never dropped on the floor: their trace
+   sessions re-enter admission control (capacity is gone, so they queue
+   under Healthy/Degraded and shed under Critical or a full queue),
+   exactly like a fresh arrival that found no room. *)
+let requeue_stranded st stranded =
+  st.stranded <- st.stranded + List.length stranded;
+  if stranded <> [] then begin
+    let by_id = Hashtbl.create 8 in
+    Hashtbl.iter (fun sid id -> Hashtbl.replace by_id id sid) st.sessions;
+    List.iter
+      (fun (id, node) ->
+        match Hashtbl.find_opt by_id id with
+        | None -> ()
+        | Some sid -> (
+            Hashtbl.remove st.sessions sid;
+            match
+              Admission.consider st.admission ~level:(Slo.level st.slo)
+                ~has_capacity:false ~session:sid ~node
+            with
+            | Admission.Admit -> ()  (* unreachable: has_capacity is false *)
+            | Admission.Queue -> log_event st (Event_log.Queued { session = sid })
+            | Admission.Shed -> log_event st (Event_log.Shed { session = sid })))
+      stranded
+  end
+
+(* What one trace event did: [Structural] changed the server set or the
+   metric (crash, recovery, drift), which forces a lower-bound refresh;
+   [Promoted] is a crash repaired by standby promotion, which also arms
+   the standby-bound guard. *)
+type impact = Plain | Structural | Promoted
+
+let dispatch st = function
+  | Trace.Join { session = sid; node } ->
+      (match
+         Admission.consider st.admission ~level:(Slo.level st.slo)
+           ~has_capacity:(has_capacity st) ~session:sid ~node
+       with
+      | Admission.Admit ->
+          let id = connect st sid node in
+          log_event st
+            (Event_log.Join
+               { session = sid; client = id; server = Dynamic.server_of st.session id })
+      | Admission.Queue -> log_event st (Event_log.Queued { session = sid })
+      | Admission.Shed -> log_event st (Event_log.Shed { session = sid }));
+      Plain
+  | Trace.Leave { session = sid } ->
+      (match Hashtbl.find_opt st.sessions sid with
+      | Some value ->
+          let id = disconnect st sid value in
+          st.leaves <- st.leaves + 1;
+          log_event st (Event_log.Leave { session = sid; client = id })
+      | None ->
+          (* queued (abandon), shed, or stranded — nothing connected *)
+          ignore (Admission.abandon st.admission ~session:sid));
+      Plain
+  | Trace.Crash { server } ->
+      if List.mem server (Dynamic.failed_servers st.session)
+         || List.length (Dynamic.active_servers st.session) <= 1
+      then begin
+        st.crashes_skipped <- st.crashes_skipped + 1;
+        log_event st (Event_log.Crash_skipped { server });
+        Plain
+      end
+      else begin
+        st.crashes <- st.crashes + 1;
+        if st.config.standby then begin
           (* O(1)-per-client repair path: promote armed standbys first;
              budgeted rebalance and protocol epochs only run afterwards
              if the SLO (or the standby bound) says the result is not
              good enough. *)
-          let r = Dynamic.promote_standby session server in
-          incr crashes;
-          stranded := !stranded + List.length r.Dynamic.stranded;
-          log_event now
+          let r = Dynamic.promote_standby st.session server in
+          log_event st
             (Event_log.Promote
                {
                  server;
@@ -680,304 +578,399 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
                  fallback = r.Dynamic.fallback;
                  stranded = List.length r.Dynamic.stranded;
                });
-          requeue_stranded now r.Dynamic.stranded;
-          breach_pending := true;
-          true
+          requeue_stranded st r.Dynamic.stranded;
+          Promoted
         end
-        else begin
-          let r = Dynamic.fail_server_report session server in
-          incr crashes;
-          let n_stranded = List.length r.Dynamic.stranded in
-          stranded := !stranded + n_stranded;
-          log_event now
+        else
+          let r = Dynamic.fail_server_report st.session server in
+          log_event st
             (Event_log.Crash
-               { server; migrated = r.Dynamic.migrated; stranded = n_stranded });
-          requeue_stranded now r.Dynamic.stranded;
-          true
-        end
-    | Trace.Recover { server } ->
-        if List.mem server (Dynamic.failed_servers session) then begin
-          Dynamic.recover_server session server;
-          incr recoveries;
-          log_event now (Event_log.Recover { server });
-          true
-        end
-        else false (* its crash was refused or never happened *)
-    | Trace.Drift { server; factor } ->
-        Dynamic.set_drift session ~server ~factor;
-        incr drifts;
-        log_event now (Event_log.Drift { server; factor });
-        true
+               {
+                 server;
+                 migrated = r.Dynamic.migrated;
+                 stranded = List.length r.Dynamic.stranded;
+               });
+          requeue_stranded st r.Dynamic.stranded;
+          Structural
+      end
+  | Trace.Recover { server } ->
+      if List.mem server (Dynamic.failed_servers st.session) then begin
+        Dynamic.recover_server st.session server;
+        st.recoveries <- st.recoveries + 1;
+        log_event st (Event_log.Recover { server });
+        Structural
+      end
+      else Plain (* its crash was refused or never happened *)
+  | Trace.Drift { server; factor } ->
+      Dynamic.set_drift st.session ~server ~factor;
+      st.drifts <- st.drifts + 1;
+      log_event st (Event_log.Drift { server; factor });
+      Structural
+
+(* One event through the control loop: dispatch, lower-bound refresh,
+   standby-bound guard, SLO, admission drain, and at a checkpoint
+   boundary the canonical standby re-arm. [i] is the event's trace
+   cursor; returns whether it closed a checkpoint boundary. *)
+let step st i (ev : Trace.event) =
+  let cfg = st.config in
+  st.now <- ev.time;
+  let impact = dispatch st ev.kind in
+  st.events_since_lb <- st.events_since_lb + 1;
+  if impact <> Plain || st.events_since_lb >= cfg.lb_every then recompute_lb st;
+  (* Standby-bound guard: when a promotion just landed, check the
+     post-promotion D/LB against the configured bound and repair
+     immediately (budgeted) on a breach — before the SLO machinery gets
+     a say. *)
+  if impact = Promoted then begin
+    let ratio = current_ratio st in
+    if Float.is_finite ratio && ratio > cfg.standby_bound then begin
+      log_event st (Event_log.Standby_breach { ratio; bound = cfg.standby_bound });
+      repair st Slo.Degraded
+    end
+  end;
+  (match Slo.observe st.slo (current_ratio st) with
+  | None -> ()
+  | Some (from_, to_) ->
+      let objective = match st.scenario.delay with None -> "d" | Some _ -> "d_load" in
+      log_event st
+        (Event_log.Transition { from_; to_; ratio = current_ratio st; objective });
+      if level_rank to_ > level_rank from_ then repair st to_);
+  drain st;
+  let boundary = cfg.checkpoint_every > 0 && (i + 1) mod cfg.checkpoint_every = 0 in
+  if boundary then begin
+    (* Canonical standby re-arm at the boundary, *before* capture: the
+       persisted map is then exactly what a restore-and-refresh would
+       rebuild. *)
+    if cfg.standby then
+      log_event st
+        (Event_log.Standby_refresh { changed = Dynamic.refresh_standbys st.session });
+    st.checkpoints <- st.checkpoints + 1;
+    log_event st (Event_log.Checkpoint { id = st.checkpoints })
+  end;
+  boundary
+
+let capture st ~cursor =
+  let session = st.session and adm = st.admission in
+  {
+    Checkpoint.version = Checkpoint.version;
+    digest = st.digest;
+    cursor;
+    now = st.now;
+    capacity = st.scenario.capacity;
+    members = Dynamic.members session;
+    standbys = Dynamic.standbys session;
+    next_id = Dynamic.next_id session;
+    failed = Dynamic.failed_servers session;
+    drift =
+      List.init st.scenario.servers (fun s -> (s, Dynamic.drift session s))
+      |> List.filter (fun (_, f) -> f <> 1.0);
+    session_stats = Dynamic.stats session;
+    sessions =
+      List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) st.sessions []);
+    slo = Slo.encode st.slo;
+    queue = adm.Admission.queue;
+    admitted = adm.Admission.admitted;
+    queued = adm.Admission.queued;
+    shed = adm.Admission.shed;
+    drained = adm.Admission.drained;
+    abandoned = adm.Admission.abandoned;
+    leaves = st.leaves;
+    crashes = st.crashes;
+    crashes_skipped = st.crashes_skipped;
+    recoveries = st.recoveries;
+    drifts = st.drifts;
+    stranded = st.stranded;
+    repairs = st.repairs;
+    repair_moves = st.repair_moves;
+    max_epoch_moves = st.max_epoch_moves;
+    protocol_epochs = st.protocol_epochs;
+    protocol_stalls = st.protocol_stalls;
+    rng_cursor = st.rng_cursor;
+    lb = st.lb;
+    events_since_lb = st.events_since_lb;
+    checkpoints = st.checkpoints;
+    trace_points = List.rev st.trace_points;
+    baseline_points = List.rev st.baseline_points;
+    log = List.rev st.log;
+  }
+
+let of_checkpoint scenario config digest (ck : Checkpoint.state) =
+  if ck.digest <> digest then
+    invalid_arg "Soak.run: checkpoint digest mismatch (different scenario/config)";
+  let matrix = Dia_latency.Synthetic.internet_like ~seed:scenario.seed scenario.nodes in
+  let session =
+    Dynamic.restore ?capacity:ck.capacity ?delay:scenario.delay ~standbys:ck.standbys
+      matrix
+      ~servers:(place ~seed:scenario.seed ~servers:scenario.servers ~nodes:scenario.nodes)
+      ~members:ck.members ~next_id:ck.next_id ~failed:ck.failed ~drift:ck.drift
+      ~stats:ck.session_stats
   in
-  let capture ~cursor ~now =
-    let sessions_list =
-      Hashtbl.fold (fun sid id acc -> (sid, id) :: acc) sessions []
-      |> List.sort compare
-    in
-    let drift_list =
-      List.filter_map
-        (fun s ->
-          let f = Dynamic.drift session s in
-          if f <> 1.0 then Some (s, f) else None)
-        (List.init scenario.servers Fun.id)
-    in
-    {
-      Checkpoint.version = Checkpoint.version;
-      digest = dg;
-      cursor;
-      now;
-      capacity = scenario.capacity;
-      members = Dynamic.members session;
-      standbys = Dynamic.standbys session;
-      next_id = Dynamic.next_id session;
-      failed = Dynamic.failed_servers session;
-      drift = drift_list;
-      session_stats = Dynamic.stats session;
-      sessions = sessions_list;
-      slo = Slo.encode slo;
-      queue = admission.Admission.queue;
-      admitted = admission.Admission.admitted;
-      queued = admission.Admission.queued;
-      shed = admission.Admission.shed;
-      drained = admission.Admission.drained;
-      abandoned = admission.Admission.abandoned;
-      leaves = !leaves;
-      crashes = !crashes;
-      crashes_skipped = !crashes_skipped;
-      recoveries = !recoveries;
-      drifts = !drifts;
-      stranded = !stranded;
-      repairs = !repairs;
-      repair_moves = !repair_moves;
-      max_epoch_moves = !max_epoch_moves;
-      protocol_epochs = !protocol_epochs;
-      protocol_stalls = !protocol_stalls;
-      rng_cursor = !rng_cursor;
-      lb = !lb;
-      events_since_lb = !events_since_lb;
-      checkpoints = !checkpoints;
-      trace_points = List.rev !trace_points;
-      baseline_points = List.rev !baseline_points;
-      log = List.rev !log;
-    }
+  let sessions = Hashtbl.create 256 in
+  List.iter (fun (sid, id) -> Hashtbl.replace sessions sid id) ck.sessions;
+  let admission =
+    { (Admission.create ~max_queue:config.max_queue) with
+      Admission.queue = ck.queue; admitted = ck.admitted; queued = ck.queued;
+      shed = ck.shed; drained = ck.drained; abandoned = ck.abandoned }
   in
-  (* Durable-recovery state: a write-ahead journal of the log lines each
-     event appends, plus numbered checkpoint generations, both under
-     [state_dir] and both written through the storage fault injector. *)
-  let journal =
+  (* The bucket layer is rebuilt canonically from the session list (which
+     maps to nodes in weighted mode) — the checkpoint format does not
+     change. *)
+  let weighted =
+    Option.map
+      (fun eps ->
+        let counts = Hashtbl.create 64 in
+        Hashtbl.iter
+          (fun _sid node ->
+            Hashtbl.replace counts node
+              (1 + Option.value ~default:0 (Hashtbl.find_opt counts node)))
+          sessions;
+        let counts = Hashtbl.fold (fun node c acc -> (node, c) :: acc) counts [] in
+        Weighted.attach ~seed:scenario.seed ~eps matrix ~counts session)
+      scenario.coreset_eps
+  in
+  {
+    scenario;
+    config;
+    digest;
+    session;
+    sessions;
+    weighted;
+    admission;
+    slo = Slo.decode config.slo ck.slo;
+    now = ck.now;
+    leaves = ck.leaves;
+    crashes = ck.crashes;
+    crashes_skipped = ck.crashes_skipped;
+    recoveries = ck.recoveries;
+    drifts = ck.drifts;
+    stranded = ck.stranded;
+    repairs = ck.repairs;
+    repair_moves = ck.repair_moves;
+    max_epoch_moves = ck.max_epoch_moves;
+    protocol_epochs = ck.protocol_epochs;
+    protocol_stalls = ck.protocol_stalls;
+    rng_cursor = ck.rng_cursor;
+    lb = ck.lb;
+    events_since_lb = ck.events_since_lb;
+    checkpoints = ck.checkpoints;
+    trace_points = List.rev ck.trace_points;
+    baseline_points = List.rev ck.baseline_points;
+    log = List.rev ck.log;
+  }
+
+(* The end-of-trace report: a final lower-bound refresh, the offline
+   re-solve, and the failover counters derived from the log. *)
+let finish st ~events ~prepop_seconds ~loop_seconds =
+  recompute_lb st;
+  let final_objective = objective_now st in
+  let resolve_objective =
+    match survivor_problem st with None -> nan | Some (p, _) -> resolve_now st p
+  in
+  let steady_ratio =
+    if resolve_objective > 0. && Float.is_finite final_objective then
+      final_objective /. resolve_objective
+    else 1.0
+  in
+  (* Failover/standby counters are derived from the event log rather
+     than checkpointed: the log is already part of the determinism
+     contract, so resumed runs reconstruct identical numbers without
+     widening the checkpoint format with more scalars. *)
+  let count f = List.fold_left (fun n e -> n + f e.Event_log.kind) 0 st.log in
+  let ratios =
+    List.filter_map
+      (fun (_, online, resolve) ->
+        if resolve > 0. && Float.is_finite online then Some (online /. resolve) else None)
+      st.baseline_points
+  in
+  let competitive_max =
+    match ratios with [] -> nan | r :: rest -> List.fold_left Float.max r rest
+  in
+  let competitive_mean =
+    match ratios with
+    | [] -> nan
+    | _ -> List.fold_left ( +. ) 0. ratios /. float_of_int (List.length ratios)
+  in
+  let sc = st.scenario and adm = st.admission in
+  {
+    digest = st.digest;
+    events;
+    horizon = sc.horizon;
+    clients =
+      (match st.weighted with
+      | Some w -> Weighted.sessions w
+      | None -> Dynamic.num_clients st.session);
+    weighted = st.weighted <> None;
+    delay_model = Option.map Dia_core.Delay.to_string sc.delay;
+    coreset_points = Dynamic.num_clients st.session;
+    prepop_seconds;
+    loop_seconds;
+    live_servers = List.length (Dynamic.active_servers st.session);
+    total_servers = sc.servers;
+    final_objective;
+    final_lb = st.lb;
+    final_ratio = ratio_of st final_objective;
+    resolve_objective;
+    steady_ratio;
+    budget = st.config.budget;
+    max_epoch_moves = st.max_epoch_moves;
+    slo_level = Slo.level st.slo;
+    admitted = adm.Admission.admitted;
+    queued = adm.Admission.queued;
+    shed = adm.Admission.shed;
+    drained = adm.Admission.drained;
+    abandoned = adm.Admission.abandoned;
+    leaves = st.leaves;
+    crashes = st.crashes;
+    crashes_skipped = st.crashes_skipped;
+    recoveries = st.recoveries;
+    drifts = st.drifts;
+    stranded = st.stranded;
+    promotions = count (function Event_log.Promote _ -> 1 | _ -> 0);
+    promoted_clients = count (function Event_log.Promote p -> p.promoted | _ -> 0);
+    fallback_clients = count (function Event_log.Promote p -> p.fallback | _ -> 0);
+    standby_refreshes = count (function Event_log.Standby_refresh _ -> 1 | _ -> 0);
+    standby_changed = count (function Event_log.Standby_refresh r -> r.changed | _ -> 0);
+    standby_breaches = count (function Event_log.Standby_breach _ -> 1 | _ -> 0);
+    repairs = st.repairs;
+    repair_moves = st.repair_moves;
+    protocol_epochs = st.protocol_epochs;
+    protocol_stalls = st.protocol_stalls;
+    checkpoints = st.checkpoints;
+    session_stats = Dynamic.stats st.session;
+    trace_points = List.rev st.trace_points;
+    baseline_points = List.rev st.baseline_points;
+    competitive_mean;
+    competitive_max;
+    log = List.rev st.log;
+  }
+
+(* Before the first event: nothing connected, queued or logged, every
+   counter zero, no bound yet. *)
+let initial scenario config =
+  {
+    Checkpoint.version = Checkpoint.version;
+    digest = digest scenario config;
+    capacity = scenario.capacity;
+    slo = Slo.encode (Slo.create config.slo);
+    cursor = 0; now = 0.; lb = nan; next_id = 0; rng_cursor = 0;
+    members = []; standbys = []; failed = []; drift = []; sessions = []; queue = [];
+    trace_points = []; baseline_points = []; log = [];
+    session_stats = { Dynamic.joins = 0; leaves = 0; moves = 0 };
+    admitted = 0; queued = 0; shed = 0; drained = 0; abandoned = 0;
+    leaves = 0; crashes = 0; crashes_skipped = 0; recoveries = 0; drifts = 0;
+    stranded = 0; repairs = 0; repair_moves = 0; max_epoch_moves = 0;
+    protocol_epochs = 0; protocol_stalls = 0; events_since_lb = 0; checkpoints = 0;
+  }
+
+(* The one place that decides what a resume folds. Every event is
+   checked before the fold starts, so a damaged or forged record ends the
+   tail instead of failing the fold halfway through it. *)
+let journal_tail scenario ~dir (ck : Checkpoint.state) =
+  match Journal.read (Filename.concat dir "journal") with
+  | Error m -> ([], Some m)
+  | Ok j when j.digest <> ck.digest ->
+      ([], Some "journal digest mismatch (different scenario/config)")
+  | Ok j ->
+      let check = Trace.check ~servers:scenario.servers ~nodes:scenario.nodes in
+      let stop acc fmt = Printf.ksprintf (fun m -> (List.rev acc, Some m)) fmt in
+      let rec take next after acc = function
+        | [] -> (List.rev acc, j.torn)
+        | (r : Journal.record) :: rest when r.cursor < next && next = ck.cursor ->
+            take next after acc rest
+        | r :: rest when r.cursor = next -> (
+            match Result.bind (Trace.of_line r.payload) (check ~after) with
+            | Ok e -> take (next + 1) e.time (e :: acc) rest
+            | Error m -> stop acc "bad record at cursor %d: %s" next m)
+        | r :: _ -> stop acc "journal gap at cursor %d (next record %d)" next r.cursor
+      in
+      take ck.cursor ck.now [] j.records
+
+let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
+    ?kill_at_event scenario config =
+  validate scenario config;
+  if keep < 1 then invalid_arg "Soak: keep must be >= 1";
+  (match kill_after with
+  | Some n when n < 1 -> invalid_arg "Soak: kill_after must be >= 1"
+  | _ -> ());
+  (match kill_at_event with
+  | Some n when n < 0 -> invalid_arg "Soak: kill_at_event must be >= 0"
+  | _ -> ());
+  let disk = match disk with Some d -> d | None -> Disk.create scenario.fault in
+  let dg = digest scenario config in
+  let trace = build_trace scenario in
+  let ck = match resume_from with Some ck -> ck | None -> initial scenario config in
+  let st = of_checkpoint scenario config dg ck in
+  let start = ck.Checkpoint.cursor in
+  (* The base load belongs to cursor 0, before the first event; a later
+     checkpoint carries it in its session list. Synthetic sessions use
+     negative ids, which no trace event references, so they never leave;
+     they bypass admission control and the event log (a million log
+     lines would drown the signal). *)
+  let prepop_seconds =
+    if start > 0 || scenario.clients = 0 then 0.
+    else begin
+      let t0 = Sys.time () in
+      let rng = Random.State.make [| scenario.seed; 0xc11e |] in
+      for i = 1 to scenario.clients do
+        ignore (connect st (-i) (Random.State.int rng scenario.nodes))
+      done;
+      Sys.time () -. t0
+    end
+  in
+  (* Durable-recovery state under [state_dir]: the write-ahead journal of
+     trace events plus numbered checkpoint generations, both written
+     through the storage fault injector. A resume reads the old journal's
+     tail before the new journal truncates the file, and applies it first. *)
+  let tail, journal =
     match state_dir with
-    | None -> None
+    | None -> ([], None)
     | Some dir ->
-        Generation.ensure_dir dir;
-        Some
-          (Journal.create ~disk ~path:(Filename.concat dir "journal") ~digest:dg
-             ~base:start_cursor ())
-  in
-  let last_now = ref 0. in
-  let step i =
-    let ev = trace.(i) in
-    let now = ev.Trace.time in
-    last_now := now;
-    let log_mark = !log in
-    let structural = dispatch now ev.Trace.kind in
-    incr events_since_lb;
-    if structural || !events_since_lb >= config.lb_every then recompute_lb now;
-    (* Standby-bound guard: when a promotion just landed, check the
-       post-promotion D/LB against the configured bound and repair
-       immediately (budgeted) on a breach — before the SLO machinery
-       gets a say. *)
-    if !breach_pending then begin
-      breach_pending := false;
-      let ratio = current_ratio () in
-      if Float.is_finite ratio && ratio > config.standby_bound then begin
-        log_event now
-          (Event_log.Standby_breach { ratio; bound = config.standby_bound });
-        repair now Slo.Degraded
-      end
-    end;
-    (match Slo.observe slo (current_ratio ()) with
-    | None -> ()
-    | Some (from_, to_) ->
-        log_event now
-          (Event_log.Transition
-             { from_; to_; ratio = current_ratio (); objective = objective_name });
-        if level_rank to_ > level_rank from_ then repair now to_);
-    drain now;
-    let boundary =
-      config.checkpoint_every > 0 && (i + 1) mod config.checkpoint_every = 0
-    in
-    if boundary then begin
-      (* Canonical standby re-arm at the boundary, *before* capture: the
-         persisted map is then exactly what a restore-and-refresh would
-         rebuild. *)
-      if config.standby then begin
-        let changed = Dynamic.refresh_standbys session in
-        log_event now (Event_log.Standby_refresh { changed })
-      end;
-      incr checkpoints;
-      log_event now (Event_log.Checkpoint { id = !checkpoints })
-    end;
-    (* Journal this event's log lines before any checkpoint that covers
-       them is written — the write-ahead discipline recovery audits. *)
-    (match journal with
-    | None -> ()
-    | Some w ->
-        let rec fresh acc l =
-          if l == log_mark then acc
-          else match l with [] -> acc | e :: tl -> fresh (e :: acc) tl
+        let tail =
+          if Option.is_some resume_from then fst (journal_tail scenario ~dir ck) else []
         in
-        (match fresh [] !log with
-        | [] -> ()
-        | entries -> Journal.append w ~cursor:i (Event_log.render entries)));
-    if boundary then begin
-      (* Materialising the state is O(sessions) — with a million
-         weighted sessions it would dwarf the events themselves — so
-         only capture when someone consumes it. The boundary itself
-         (refresh + log entry + counter) is identical either way, which
-         is what the determinism contract hashes. *)
-      if checkpoint_path <> None || state_dir <> None || kill_after <> None
-      then begin
-        let st = capture ~cursor:(i + 1) ~now in
-        (match journal with Some w -> Journal.flush w | None -> ());
-        (match checkpoint_path with
-        | Some path -> Checkpoint.save path st
-        | None -> ());
-        (match state_dir with
-        | Some dir -> ignore (Generation.save ~disk ~dir ~keep st)
-        | None -> ());
-        match kill_after with
-        | Some n when !checkpoints >= n -> raise (Kill st)
-        | _ -> ()
-      end
+        Generation.ensure_dir dir;
+        let path = Filename.concat dir "journal" in
+        (tail, Some (Journal.create ~disk ~path ~digest:dg ~base:start ()))
+  in
+  (* Materialising the state is O(sessions) — with a million weighted
+     sessions it would dwarf the events themselves — so only capture
+     when someone consumes it. *)
+  let persist = checkpoint_path <> None || state_dir <> None || kill_after <> None in
+  let apply i ev =
+    (match journal with
+    | Some w -> Journal.append w ~cursor:i (Trace.to_line ev)
+    | None -> ());
+    if step st i ev && persist then begin
+      let ck = capture st ~cursor:(i + 1) in
+      Option.iter Journal.flush journal;
+      Option.iter (fun path -> Checkpoint.save path ck) checkpoint_path;
+      Option.iter (fun dir -> ignore (Generation.save ~disk ~dir ~keep ck)) state_dir;
+      match kill_after with Some n when st.checkpoints >= n -> raise (Kill ck) | _ -> ()
     end;
     match kill_at_event with
-    | Some n when n = i -> raise (Kill (capture ~cursor:(i + 1) ~now))
+    | Some n when n = i -> raise (Kill (capture st ~cursor:(i + 1)))
     | _ -> ()
   in
   let loop_start = Sys.time () in
   match
-    for i = start_cursor to Array.length trace - 1 do
-      step i
+    let next = List.fold_left (fun i ev -> apply i ev; i + 1) start tail in
+    for i = next to Array.length trace - 1 do
+      apply i trace.(i)
     done
   with
-  | exception Kill st ->
+  | exception Kill ck ->
       (* The deterministic kill is graceful about the journal: buffered
-         records are flushed so the audit has full coverage up to the
+         records are flushed, so a resume folds every event up to the
          kill point. Losing the buffer to a real SIGKILL is modeled
          explicitly by [jtorn:] plans instead. *)
-      (match journal with Some w -> Journal.close w | None -> ());
-      Killed st
+      Option.iter Journal.close journal;
+      Killed ck
   | () ->
-      (match journal with Some w -> Journal.close w | None -> ());
+      Option.iter Journal.close journal;
       let loop_seconds = Sys.time () -. loop_start in
-      recompute_lb !last_now;
-      let final_objective = objective_now () in
-      let final_ratio =
-        if !lb > 0. && Float.is_finite final_objective then
-          final_objective /. !lb
-        else nan
-      in
-      let resolve_objective =
-        match survivor_problem () with
-        | None -> nan
-        | Some (p, _) -> resolve_now p
-      in
-      let steady_ratio =
-        if resolve_objective > 0. && Float.is_finite final_objective then
-          final_objective /. resolve_objective
-        else 1.0
-      in
-      (* Failover/standby counters are derived from the event log rather
-         than checkpointed: the log is already part of the determinism
-         contract, so resumed runs reconstruct identical numbers without
-         widening the checkpoint format with more scalars. *)
-      let promotions = ref 0 and promoted_clients = ref 0 in
-      let fallback_clients = ref 0 and standby_refreshes = ref 0 in
-      let standby_changed = ref 0 and standby_breaches = ref 0 in
-      List.iter
-        (fun e ->
-          match e.Event_log.kind with
-          | Event_log.Promote { promoted; fallback; _ } ->
-              incr promotions;
-              promoted_clients := !promoted_clients + promoted;
-              fallback_clients := !fallback_clients + fallback
-          | Event_log.Standby_refresh { changed } ->
-              incr standby_refreshes;
-              standby_changed := !standby_changed + changed
-          | Event_log.Standby_breach _ -> incr standby_breaches
-          | _ -> ())
-        !log;
-      let ratios =
-        List.filter_map
-          (fun (_, online, resolve) ->
-            if resolve > 0. && Float.is_finite online then
-              Some (online /. resolve)
-            else None)
-          !baseline_points
-      in
-      let competitive_max =
-        match ratios with
-        | [] -> nan
-        | r :: rest -> List.fold_left Float.max r rest
-      in
-      let competitive_mean =
-        match ratios with
-        | [] -> nan
-        | _ ->
-            List.fold_left ( +. ) 0. ratios /. float_of_int (List.length ratios)
-      in
-      Completed
-        {
-          digest = dg;
-          events = Array.length trace;
-          horizon = scenario.horizon;
-          clients = connected ();
-          weighted = weighted <> None;
-          delay_model = Option.map Dia_core.Delay.to_string scenario.delay;
-          coreset_points = Dynamic.num_clients session;
-          prepop_seconds = !prepop_seconds;
-          loop_seconds;
-          live_servers = List.length (Dynamic.active_servers session);
-          total_servers = scenario.servers;
-          final_objective;
-          final_lb = !lb;
-          final_ratio;
-          resolve_objective;
-          steady_ratio;
-          budget = config.budget;
-          max_epoch_moves = !max_epoch_moves;
-          slo_level = Slo.level slo;
-          admitted = admission.Admission.admitted;
-          queued = admission.Admission.queued;
-          shed = admission.Admission.shed;
-          drained = admission.Admission.drained;
-          abandoned = admission.Admission.abandoned;
-          leaves = !leaves;
-          crashes = !crashes;
-          crashes_skipped = !crashes_skipped;
-          recoveries = !recoveries;
-          drifts = !drifts;
-          stranded = !stranded;
-          promotions = !promotions;
-          promoted_clients = !promoted_clients;
-          fallback_clients = !fallback_clients;
-          standby_refreshes = !standby_refreshes;
-          standby_changed = !standby_changed;
-          standby_breaches = !standby_breaches;
-          repairs = !repairs;
-          repair_moves = !repair_moves;
-          protocol_epochs = !protocol_epochs;
-          protocol_stalls = !protocol_stalls;
-          checkpoints = !checkpoints;
-          session_stats = Dynamic.stats session;
-          trace_points = List.rev !trace_points;
-          baseline_points = List.rev !baseline_points;
-          competitive_mean;
-          competitive_max;
-          log = List.rev !log;
-        }
+      Completed (finish st ~events:(Array.length trace) ~prepop_seconds ~loop_seconds)
 
-let render r =
+let render (r : report) =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
   line "soak report (digest %s)" r.digest;
@@ -1019,7 +1012,7 @@ let render r =
     r.session_stats.Dynamic.moves;
   Buffer.contents b
 
-let csv r =
+let csv (r : report) =
   let b = Buffer.create 256 in
   Buffer.add_string b "t,objective,ratio\n";
   List.iter

@@ -113,6 +113,23 @@ val digest : scenario -> config -> string
 (** Hex digest of the canonical rendering of both records — stamped into
     checkpoints so a resume under a different configuration is refused. *)
 
+val build_trace : scenario -> Trace.t
+(** The seeded trace a run of the scenario faces: churn, drift walk and
+    the fault plan's crash/recovery schedule, merged up to the horizon. *)
+
+val initial : scenario -> config -> Checkpoint.state
+(** The cursor-0 checkpoint a fresh run starts from: nothing connected
+    or logged, every counter zero. *)
+
+val journal_tail :
+  scenario -> dir:string -> Checkpoint.state -> Trace.event list * string option
+(** The events a resume from the checkpoint with [state_dir = dir]
+    applies first: the [dir/journal] records with consecutive cursors
+    from the checkpoint's, decoded ({!Trace.of_line}) and accepted by
+    {!Trace.check} from its [now], up to the first gap, bad record or
+    tear — with a note on why it ends early or is empty (also an
+    unreadable or [v1] file, a digest mismatch). Never raises. *)
+
 (** Everything the run observed, plus the guardrail numbers the
     acceptance criteria read: [steady_ratio] (final [D(A)] over a fresh
     Greedy re-solve on the surviving servers) and [max_epoch_moves]
@@ -202,26 +219,30 @@ val run :
   outcome
 (** Execute (or continue) a soak run. [checkpoint_path] persists every
     checkpoint atomically; [resume_from] continues from a decoded
-    checkpoint (its digest must match); [kill_after n] stops the run
-    immediately after the [n]-th checkpoint of {e this} process — used
-    by tests and CI to exercise the kill/resume path deterministically.
+    checkpoint (its digest must match; a fresh run starts from
+    {!initial}); [kill_after n] stops the run immediately after the
+    [n]-th checkpoint of {e this} process — used by tests and CI to
+    exercise the kill/resume path deterministically.
 
     {b Durable recovery.} [state_dir] turns on the durability layer: a
-    write-ahead {!Journal} of each event's log lines (appended {e
-    before} any checkpoint covering them is written, flushed in batches
-    and before every generation save) plus numbered {!Generation}
-    checkpoints at every boundary, keeping the last [keep] (default 3).
-    Both streams are written through [disk] — by default an injector
-    interpreting the scenario fault plan's disk rules, so storage-fault
-    atoms in [scenario.fault] corrupt exactly the writes they name.
-    [kill_at_event i] stops the run right after processing trace event
-    [i] — {e any} event index, not just a checkpoint boundary — with the
-    captured state; combined with {!Recovery.restore} this is the
-    boundary-free kill/resume path. The scenario digest is unchanged by
-    any of these options.
+    write-ahead {!Journal} of the trace events, each appended {e before}
+    it is applied (flushed in batches and before every generation save),
+    plus numbered {!Generation} checkpoints at every boundary, keeping
+    the last [keep] (default 3). Both streams are written through [disk]
+    — by default an injector interpreting the scenario fault plan's disk
+    rules, so storage-fault atoms in [scenario.fault] corrupt exactly
+    the writes they name. With [resume_from] too, the run first applies
+    the old journal's {!journal_tail}, read before the new journal
+    truncates the file, then continues from the seeded trace; a fresh
+    run never reads the old journal. [kill_at_event i] stops the run
+    right after trace event [i] — {e any} index, not just a boundary —
+    with the captured state: with {!Recovery.restore}, the
+    boundary-free kill/resume path. None of these options changes the
+    scenario digest.
 
     @raise Invalid_argument on invalid scenario/config values, a digest
-    mismatch on resume, [keep < 1], or a negative [kill_at_event]. *)
+    mismatch on resume, [keep < 1], [kill_after < 1] or a negative
+    [kill_at_event]. *)
 
 val render : report -> string
 (** Deterministic human-readable report. Two runs are considered

@@ -90,3 +90,59 @@ let merge ~horizon streams =
       kept
   in
   Array.of_list (List.map (fun (_, _, _, e) -> e) sorted)
+
+(* By hand into bytes: on the soak's per-event path, [Printf] and a
+   decimal float search would cost ten times the journal append. *)
+let to_line { time; kind } =
+  let b = Bytes.create 96 in
+  let int key pos n = Codec.put_int b (Codec.put_string b pos key) n in
+  let pos = Codec.put_float_hex b (Codec.put_string b 0 "t=") time in
+  let pos =
+    match kind with
+    | Join { session; node } -> int " node=" (int " join session=" pos session) node
+    | Leave { session } -> int " leave session=" pos session
+    | Crash { server } -> int " crash server=" pos server
+    | Recover { server } -> int " recover server=" pos server
+    | Drift { server; factor } ->
+        let pos = Codec.put_string b (int " drift server=" pos server) " factor=" in
+        Codec.put_float_hex b pos factor
+  in
+  Bytes.sub_string b 0 pos
+
+let of_line line =
+  let kind tag fields =
+    let scan fmt k = Scanf.sscanf fields fmt k in
+    match tag with
+    | "join" -> scan "session=%d node=%d%!" (fun session node -> Join { session; node })
+    | "leave" -> scan "session=%d%!" (fun session -> Leave { session })
+    | "crash" -> scan "server=%d%!" (fun server -> Crash { server })
+    | "recover" -> scan "server=%d%!" (fun server -> Recover { server })
+    | "drift" ->
+        scan "server=%d factor=%s%!" (fun server factor ->
+            Drift { server; factor = Codec.float_of_str factor })
+    | other -> failwith (Printf.sprintf "unknown event %S" other)
+  in
+  match
+    Scanf.sscanf line "t=%s %s %[^\n]%!" (fun time tag fields ->
+        { time = Codec.float_of_str time; kind = kind tag fields })
+  with
+  | e -> Ok e
+  | exception (Scanf.Scan_failure m | Failure m) ->
+      Error (Printf.sprintf "Trace.of_line: %s in %S" m line)
+  | exception End_of_file -> Error (Printf.sprintf "Trace.of_line: truncated %S" line)
+
+let check ~servers ~nodes ~after ({ time; kind } as e) =
+  let bad fmt = Printf.ksprintf Result.error fmt in
+  let range k i n = if 0 <= i && i < n then Ok e else bad "%s %d out of range" k i in
+  if not (Float.is_finite time && time >= after) then
+    bad "time %s not in [%s, inf)" (Codec.float_str time) (Codec.float_str after)
+  else
+    match kind with
+    | (Join { session; _ } | Leave { session }) when session < 0 ->
+        bad "negative session %d" session
+    | Join { node; _ } -> range "node" node nodes
+    | Leave _ -> Ok e
+    | Crash { server } | Recover { server } -> range "server" server servers
+    | Drift { factor; _ } when not (Float.is_finite factor && factor > 0.) ->
+        bad "drift factor %s not positive and finite" (Codec.float_str factor)
+    | Drift { server; _ } -> range "server" server servers

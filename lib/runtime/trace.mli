@@ -67,3 +67,20 @@ val merge : horizon:float -> event list list -> t
 (** Stable-merge the streams into one trace: sort by time, ties broken
     by stream order then within-stream order, events after [horizon]
     dropped. *)
+
+val to_line : event -> string
+(** One-line text form, e.g. [t=0x1.9p+3 join session=3 node=17] for a
+    join at time 12.5; floats in exact hexadecimal
+    ({!Codec.put_float_hex}), so {!of_line} gives back the identical
+    event. *)
+
+val of_line : string -> (event, string) result
+(** Inverse of {!to_line} (decimal floats are read too). Malformed or
+    truncated input is an [Error]; never raises. *)
+
+val check : servers:int -> nodes:int -> after:float -> event -> (event, string) result
+(** [Ok event] when a generated trace over [servers] servers and
+    [nodes] nodes could hold [event] right after time [after]; an
+    [Error] names a time that is not finite or lies before [after], a
+    negative session, a node or server out of range, or a drift factor
+    that is not finite and positive. *)

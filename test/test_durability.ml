@@ -15,6 +15,7 @@ module Checkpoint = Dia_runtime.Checkpoint
 module Event_log = Dia_runtime.Event_log
 module Recovery = Dia_runtime.Recovery
 module Soak = Dia_runtime.Soak
+module Trace = Dia_runtime.Trace
 module Fault = Dia_sim.Fault
 
 let plan spec =
@@ -415,6 +416,146 @@ let prop_boundary_free_recovery_bit_identical =
       let v = Recovery.verify ~state_dir:dir ~kill_at_event scenario small_config in
       v.Recovery.ok)
 
+(* --- the journal is the input of record --- *)
+
+(* Killed after event 30 with checkpoints every 20: the restore lands on
+   cursor 20 and the journal tail 20..30 holds the drift at event 22. *)
+let journal_state_dir () =
+  let dir = fresh_dir () in
+  (match Soak.run ~state_dir:dir ~kill_at_event:30 small_scenario small_config with
+  | Soak.Killed _ -> ()
+  | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored");
+  dir
+
+(* Rewrite the journal through the writer (so every record stays
+   CRC-valid) with each Drift's factor forged to [factor] (and its server
+   to [server], if given), optionally under another digest or without the
+   record at cursor [drop]. *)
+let forge_journal ?digest ?(drop = -1) ?(factor = 0.5) ?server dir =
+  let path = Recovery.journal_path dir in
+  match Journal.read path with
+  | Error m -> Alcotest.fail m
+  | Ok j ->
+      let w =
+        Journal.create ~path
+          ~digest:(Option.value ~default:j.Journal.digest digest)
+          ~base:j.Journal.base ()
+      in
+      List.iter
+        (fun { Journal.cursor; payload } ->
+          let payload =
+            match Trace.of_line payload with
+            | Ok ({ Trace.kind = Trace.Drift d; _ } as e) ->
+                let server = Option.value ~default:d.server server in
+                Trace.to_line { e with Trace.kind = Trace.Drift { server; factor } }
+            | _ -> payload
+          in
+          if cursor <> drop then Journal.append w ~cursor payload)
+        j.Journal.records;
+      Journal.close w
+
+(* Restore and resume exactly as [dia soak --resume --state-dir] does. *)
+let resume dir =
+  let r = Recovery.restore ~dir small_scenario small_config in
+  match
+    Soak.run ~state_dir:dir ~keep:3 ~resume_from:r.Recovery.resume small_scenario
+      small_config
+  with
+  | Soak.Completed report -> (r, report)
+  | Soak.Killed _ -> Alcotest.fail "resumed run killed"
+
+let reference () =
+  match Soak.run small_scenario small_config with
+  | Soak.Completed r -> r
+  | Soak.Killed _ -> Alcotest.fail "reference run killed"
+
+let test_resume_folds_the_journal () =
+  let dir = journal_state_dir () in
+  forge_journal dir;
+  let r, resumed = resume dir in
+  Alcotest.(check (option int)) "restored at the boundary" (Some 20)
+    (Option.map (fun (_, st) -> st.Checkpoint.cursor) r.Recovery.generation);
+  Alcotest.(check int) "events 20..30 replayed from the journal" 11 r.Recovery.replayed;
+  Alcotest.(check (option string)) "the tail ran to the end" None r.Recovery.journal_note;
+  let has_forged (report : Soak.report) =
+    List.exists
+      (fun e -> e.Event_log.kind = Event_log.Drift { server = 2; factor = 0.5 })
+      report.Soak.log
+  in
+  Alcotest.(check bool) "the seed never draws the forged factor" false
+    (has_forged (reference ()));
+  Alcotest.(check bool) "the resumed log applied the journaled factor" true
+    (has_forged resumed)
+
+let test_resume_falls_back_to_the_trace () =
+  (* Every spoiled journal still carries the forged drift, so
+     bit-identity with the reference proves the resume ignored it. *)
+  let base = reference () in
+  let contains ~sub s =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (name, spoil, reason, replayed) ->
+      let dir = journal_state_dir () in
+      spoil dir;
+      let r, resumed = resume dir in
+      Alcotest.(check int) (name ^ ": events replayed") replayed r.Recovery.replayed;
+      (match r.Recovery.journal_note with
+      | Some note when contains ~sub:reason note -> ()
+      | note ->
+          Alcotest.fail
+            (Printf.sprintf "%s: note %s does not name %S" name
+               (Option.value ~default:"<none>" note) reason));
+      Alcotest.(check string) (name ^ ": report") (Soak.render base)
+        (Soak.render resumed);
+      Alcotest.(check string) (name ^ ": log")
+        (Event_log.render base.Soak.log)
+        (Event_log.render resumed.Soak.log))
+    [
+      ("gap at the cursor", (fun dir -> forge_journal ~drop:20 dir), "gap", 0);
+      ( "wrong digest",
+        (fun dir -> forge_journal ~digest:(String.make 32 '0') dir),
+        "digest",
+        0 );
+      (* The drift sits at cursor 22: events 20 and 21 still fold. *)
+      ( "drift server out of range",
+        (fun dir -> forge_journal ~server:small_scenario.Soak.servers dir),
+        "bad record at cursor 22: server",
+        2 );
+      ("drift factor nan", (fun dir -> forge_journal ~factor:nan dir), "drift factor", 2);
+      ("drift factor zero", (fun dir -> forge_journal ~factor:0. dir), "drift factor", 2);
+      ( "v1 header",
+        (fun dir ->
+          forge_journal dir;
+          let path = Recovery.journal_path dir in
+          let text = read_file path in
+          let v2 = "dia-soak-journal v2" in
+          Alcotest.(check string) "current magic" v2
+            (String.sub text 0 (String.length v2));
+          write_file path
+            ("dia-soak-journal v1"
+            ^ String.sub text (String.length v2)
+                (String.length text - String.length v2))),
+        "unsupported header",
+        0 );
+    ]
+
+let test_fresh_run_ignores_the_journal () =
+  (* The forged drift sits in the directory's journal; only a resume
+     folds it, so a fresh run into the same directory matches the
+     reference. *)
+  let dir = journal_state_dir () in
+  forge_journal dir;
+  let base = reference () in
+  match Soak.run ~state_dir:dir small_scenario small_config with
+  | Soak.Killed _ -> Alcotest.fail "fresh run killed"
+  | Soak.Completed r ->
+      Alcotest.(check string) "report" (Soak.render base) (Soak.render r);
+      Alcotest.(check string) "log" (Event_log.render base.Soak.log)
+        (Event_log.render r.Soak.log)
+
 (* --- the disk-fault DSL --- *)
 
 let test_disk_dsl_roundtrip () =
@@ -466,6 +607,12 @@ let suite =
     Alcotest.test_case "kill past the end still matches" `Quick
       test_verify_recovery_kill_past_end;
     QCheck_alcotest.to_alcotest prop_boundary_free_recovery_bit_identical;
+    Alcotest.test_case "resume folds the journaled events" `Quick
+      test_resume_folds_the_journal;
+    Alcotest.test_case "unusable journal falls back to the seeded trace" `Quick
+      test_resume_falls_back_to_the_trace;
+    Alcotest.test_case "a fresh run ignores an old journal" `Quick
+      test_fresh_run_ignores_the_journal;
     Alcotest.test_case "disk-fault DSL round-trips and splits" `Quick
       test_disk_dsl_roundtrip;
   ]

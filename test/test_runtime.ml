@@ -250,6 +250,95 @@ let test_trace_merge_stable () =
   Alcotest.(check bool) "tie broken by stream order" true
     (merged.(0).Trace.kind = Trace.Crash { server = 0 })
 
+(* The journal's record codec: every kind round-trips bit-exactly
+   (random bit patterns exercise the [%.17g] float path), and bad input
+   is an [Error], never an exception. *)
+let arb_trace_event =
+  let open QCheck.Gen in
+  let float =
+    map
+      (fun b ->
+        let f = Int64.float_of_bits b in
+        if Float.is_finite f then f else 0.5)
+      ui64
+  in
+  let kind =
+    oneof
+      [
+        map2 (fun session node -> Trace.Join { session; node }) int int;
+        map (fun session -> Trace.Leave { session }) int;
+        map (fun server -> Trace.Crash { server }) int;
+        map (fun server -> Trace.Recover { server }) int;
+        map2 (fun server factor -> Trace.Drift { server; factor }) small_nat float;
+      ]
+  in
+  QCheck.make ~print:Trace.to_line
+    (map2 (fun time kind -> { Trace.time; kind }) float kind)
+
+let prop_trace_codec_roundtrip =
+  let bits e =
+    ( Int64.bits_of_float e.Trace.time,
+      match e.Trace.kind with
+      | Trace.Drift { factor; _ } -> Int64.bits_of_float factor
+      | _ -> 0L )
+  in
+  QCheck.Test.make ~name:"trace event codec round-trips bit-exactly" ~count:500
+    arb_trace_event (fun e ->
+      let line = Trace.to_line e in
+      (match Trace.of_line line with
+      | Ok e' -> e' = e && bits e' = bits e
+      | Error _ -> false)
+      &&
+      (* Cutting the line anywhere up to its last '=' loses a field or
+         its value; cuts inside the last value may still parse, but
+         nothing may raise. *)
+      let last_eq = String.rindex line '=' in
+      List.for_all
+        (fun k ->
+          match Trace.of_line (String.sub line 0 k) with
+          | Error _ -> true
+          | Ok _ -> k > last_eq)
+        (List.init (String.length line) Fun.id))
+
+let prop_float_hex_is_printf_h =
+  QCheck.Test.make ~name:"hex float text is %h and reads back exactly" ~count:2000
+    QCheck.(make ~print:(Printf.sprintf "%h") Gen.(map Int64.float_of_bits ui64))
+    (fun f ->
+      let b = Bytes.create 24 in
+      let s = Bytes.sub_string b 0 (Codec.put_float_hex b 0 f) in
+      s = Printf.sprintf "%h" f
+      && (Float.is_nan f
+         || Int64.bits_of_float (Codec.float_of_str s) = Int64.bits_of_float f))
+
+let test_trace_codec_rejects_malformed () =
+  List.iter
+    (fun line ->
+      match Trace.of_line line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (Printf.sprintf "malformed line accepted: %S" line)
+      | exception e ->
+          Alcotest.fail (Printf.sprintf "%S raised %s" line (Printexc.to_string e)))
+    [
+      "";
+      "t=";
+      "t=1";
+      "t=1 join";
+      "t=1 join session=2";
+      "t=1 join session=2 node=";
+      "t=1 join session=2 node=x";
+      "t=1 join session=2 node=3 extra=4";
+      "t=1 leave session=99999999999999999999999";
+      "t=x leave session=1";
+      "time=1 leave session=1";
+      "t=1 explode server=1";
+      "t=1 drift server=1 factor=";
+      "t=1 drift server=1 factor=fast";
+      "t=1 crash server=1\n";
+      "\x00\xff garbage";
+      String.make 5000 'x';
+      "t=1 join session=" ^ String.make 5000 '7' ^ " node=1";
+    ]
+
 (* --- Event_log --- *)
 
 let all_kinds =
@@ -311,6 +400,38 @@ let complete scenario config =
   | Soak.Completed r -> r
   | Soak.Killed _ -> Alcotest.fail "run killed without kill_after"
 
+let test_trace_check_rejects_impossible_events () =
+  let check ?(after = 10.) time kind =
+    Trace.check ~servers:4 ~nodes:50 ~after { Trace.time; kind }
+  in
+  let ok name r =
+    Alcotest.(check (result unit string)) name (Ok ()) (Result.map ignore r)
+  in
+  let bad name r = Alcotest.(check bool) name true (Result.is_error r) in
+  ok "join in range" (check 10. (Trace.Join { session = 0; node = 49 }));
+  ok "drift in range" (check 11. (Trace.Drift { server = 3; factor = 0.05 }));
+  bad "time before after" (check 9.5 (Trace.Leave { session = 1 }));
+  bad "nan time" (check nan (Trace.Leave { session = 1 }));
+  bad "infinite time" (check infinity (Trace.Leave { session = 1 }));
+  bad "negative join session" (check 10. (Trace.Join { session = -1; node = 0 }));
+  bad "negative leave session" (check 10. (Trace.Leave { session = -3 }));
+  bad "node out of range" (check 10. (Trace.Join { session = 1; node = 50 }));
+  bad "negative node" (check 10. (Trace.Join { session = 1; node = -1 }));
+  bad "crash server out of range" (check 10. (Trace.Crash { server = 4 }));
+  bad "recover server negative" (check 10. (Trace.Recover { server = -1 }));
+  bad "drift server out of range" (check 10. (Trace.Drift { server = 4; factor = 1. }));
+  bad "drift factor zero" (check 10. (Trace.Drift { server = 0; factor = 0. }));
+  bad "drift factor nan" (check 10. (Trace.Drift { server = 0; factor = nan }));
+  bad "drift factor infinite" (check 10. (Trace.Drift { server = 0; factor = infinity }));
+  let scenario = Soak.default_scenario in
+  let trace = Soak.build_trace scenario in
+  Array.iteri
+    (fun i (e : Trace.event) ->
+      let after = if i = 0 then 0. else trace.(i - 1).Trace.time in
+      ok (Printf.sprintf "seeded event %d" i)
+        (Trace.check ~servers:scenario.Soak.servers ~nodes:scenario.Soak.nodes ~after e))
+    trace
+
 let test_checkpoint_codec_roundtrip () =
   match Soak.run ~kill_after:1 small_scenario small_config with
   | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
@@ -345,8 +466,49 @@ let test_soak_kill_resume_identical () =
               Alcotest.(check string)
                 (Printf.sprintf "event log identical after kill %d" kill_after)
                 (Event_log.render base.Soak.log)
-                (Event_log.render resumed.Soak.log)))
+                (Event_log.render resumed.Soak.log);
+              Alcotest.(check string)
+                (Printf.sprintf "objective trace identical after kill %d" kill_after)
+                (Soak.csv base) (Soak.csv resumed)))
     [ 1; 2; 3 ]
+
+let test_soak_resume_at_trace_end_keeps_time () =
+  (* A kill on the last event (or on a boundary there) leaves nothing to
+     replay: the final lower-bound refresh must still be stamped with the
+     last event's time, so the objective trace matches the uninterrupted
+     run's. *)
+  let events = (complete small_scenario small_config).Soak.events in
+  List.iter
+    (fun (name, config, kill) ->
+      let base = complete small_scenario config in
+      match kill config with
+      | Soak.Completed _ -> Alcotest.fail (name ^ ": kill ignored")
+      | Soak.Killed st -> (
+          Alcotest.(check int) (name ^ ": killed at the end") events
+            st.Checkpoint.cursor;
+          match Soak.run ~resume_from:st small_scenario config with
+          | Soak.Killed _ -> Alcotest.fail (name ^ ": resumed run killed")
+          | Soak.Completed resumed ->
+              Alcotest.(check string) (name ^ ": report") (Soak.render base)
+                (Soak.render resumed);
+              Alcotest.(check string) (name ^ ": objective trace") (Soak.csv base)
+                (Soak.csv resumed)))
+    [
+      ( "kill_at_event",
+        small_config,
+        Soak.run ~kill_at_event:(events - 1) small_scenario );
+      ( "boundary",
+        { small_config with Soak.checkpoint_every = events },
+        Soak.run ~kill_after:1 small_scenario );
+    ]
+
+let test_soak_rejects_kill_after_below_one () =
+  List.iter
+    (fun kill_after ->
+      match Soak.run ~kill_after small_scenario small_config with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (Printf.sprintf "kill_after %d accepted" kill_after))
+    [ 0; -1 ]
 
 let test_soak_resume_rejects_other_config () =
   match Soak.run ~kill_after:1 small_scenario small_config with
@@ -494,7 +656,10 @@ let test_soak_delay_kill_resume_identical () =
                   Alcotest.(check string)
                     (Printf.sprintf "event log identical after kill %d" kill_after)
                     (Event_log.render base.Soak.log)
-                    (Event_log.render resumed.Soak.log))))
+                    (Event_log.render resumed.Soak.log);
+                  Alcotest.(check string)
+                    (Printf.sprintf "objective trace identical after kill %d" kill_after)
+                    (Soak.csv base) (Soak.csv resumed))))
     [ 1; 2 ]
 
 let test_soak_delay_rejects_coreset () =
@@ -527,7 +692,7 @@ let prop_soak_deterministic_under_random_kills =
           | Soak.Completed r ->
               (* not enough checkpoints to kill at: the run must then be
                  the uninterrupted one *)
-              Soak.render r = Soak.render base
+              Soak.render r = Soak.render base && Soak.csv r = Soak.csv base
           | Soak.Killed st -> (
               match Checkpoint.decode (Checkpoint.encode st) with
               | Error _ -> false
@@ -537,7 +702,8 @@ let prop_soak_deterministic_under_random_kills =
                   | Soak.Completed resumed ->
                       Soak.render resumed = Soak.render base
                       && Event_log.render resumed.Soak.log
-                         = Event_log.render base.Soak.log))))
+                         = Event_log.render base.Soak.log
+                      && Soak.csv resumed = Soak.csv base))))
 
 let suite =
   [
@@ -560,6 +726,12 @@ let suite =
     Alcotest.test_case "crash schedule lifted from fault plan" `Quick
       test_trace_crashes_of_plan;
     Alcotest.test_case "trace merge is stable" `Quick test_trace_merge_stable;
+    QCheck_alcotest.to_alcotest prop_trace_codec_roundtrip;
+    Alcotest.test_case "trace codec rejects malformed lines" `Quick
+      test_trace_codec_rejects_malformed;
+    QCheck_alcotest.to_alcotest prop_float_hex_is_printf_h;
+    Alcotest.test_case "trace check rejects impossible events" `Quick
+      test_trace_check_rejects_impossible_events;
     Alcotest.test_case "event log round-trips every record kind" `Quick
       test_event_log_roundtrip;
     Alcotest.test_case "checkpoint codec round-trips, rejects truncation" `Quick
@@ -568,6 +740,10 @@ let suite =
       test_soak_kill_resume_identical;
     Alcotest.test_case "resume rejects a different config" `Quick
       test_soak_resume_rejects_other_config;
+    Alcotest.test_case "resume at the trace end keeps the last time" `Quick
+      test_soak_resume_at_trace_end_keeps_time;
+    Alcotest.test_case "kill_after below 1 is rejected" `Quick
+      test_soak_rejects_kill_after_below_one;
     Alcotest.test_case "guardrails: steady ratio and epoch budget" `Quick
       test_soak_guardrails;
     Alcotest.test_case "critical triggers protocol repair and brownout" `Quick
