@@ -591,11 +591,6 @@ let soak_cmd =
          & info [ "lb-every" ] ~docv:"N"
              ~doc:"Events between periodic lower-bound refreshes.")
   in
-  let checkpoint_arg =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Write checkpoints to $(docv) (atomic replace).")
-  in
   let checkpoint_every_arg =
     Arg.(value & opt int dc.Soak.checkpoint_every
          & info [ "checkpoint-every" ] ~docv:"N"
@@ -604,15 +599,9 @@ let soak_cmd =
   let resume_arg =
     Arg.(value & flag
          & info [ "resume" ]
-             ~doc:"Continue from the checkpoint file instead of starting \
+             ~doc:"Continue from $(b,--state-dir) instead of starting \
                    fresh; the final report is bit-identical to an \
                    uninterrupted run.")
-  in
-  let kill_after_arg =
-    Arg.(value & opt (some int) None
-         & info [ "kill-after" ] ~docv:"N"
-             ~doc:"Stop (exit 137) right after the $(docv)-th checkpoint of \
-                   this process — a deterministic kill -9 for tests and CI.")
   in
   let state_dir_arg =
     Arg.(value & opt (some string) None
@@ -636,9 +625,10 @@ let soak_cmd =
     Arg.(value & opt (some int) None
          & info [ "kill-event" ] ~docv:"N"
              ~doc:"Stop (exit 137) right after processing trace event $(docv) \
-                   — any event index, not just a checkpoint boundary. \
-                   Resume from $(b,--state-dir) replays to a bit-identical \
-                   report.")
+                   — any event index, not just a checkpoint boundary (the \
+                   $(i,n)-th boundary is event $(i,n) * $(b,--checkpoint-every) \
+                   - 1). Requires $(b,--state-dir); resuming from it replays \
+                   to a bit-identical report.")
   in
   let verify_recovery_arg =
     Arg.(value & flag
@@ -708,8 +698,8 @@ let soak_cmd =
                    Incompatible with $(b,--coreset-eps).")
   in
   let run seed nodes servers capacity horizon rate lifetime drift_period
-      drift_amplitude fault budget max_queue lb_every checkpoint
-      checkpoint_every resume kill_after state_dir keep kill_event
+      drift_amplitude fault budget max_queue lb_every checkpoint_every resume
+      state_dir keep kill_event
       verify_recovery log_path no_standby standby_bound baseline clients
       coreset_eps delay csv_path =
     let scenario =
@@ -743,8 +733,8 @@ let soak_cmd =
     in
     let proceed resume_from =
       match
-        Soak.run ?checkpoint_path:checkpoint ?state_dir ~keep ?resume_from
-          ?kill_after ?kill_at_event:kill_event scenario config
+        Soak.run ?state_dir ~keep ?resume_from ?kill_at_event:kill_event
+          scenario config
       with
       | exception Invalid_argument m -> `Error (false, m)
       | Soak.Completed r ->
@@ -773,19 +763,16 @@ let soak_cmd =
           | None -> ());
           `Ok ()
       | Soak.Killed st ->
-          Printf.printf "killed after checkpoint %d (event %d of the trace)%s\n"
+          Printf.printf
+            "killed after checkpoint %d (event %d of the trace); resume with: \
+             dia soak --resume --state-dir %s\n"
             st.Checkpoint.checkpoints st.Checkpoint.cursor
-            (match (state_dir, checkpoint) with
-            | Some dir, _ ->
-                Printf.sprintf "; resume with: dia soak --resume --state-dir %s"
-                  dir
-            | None, Some path ->
-                Printf.sprintf "; resume with: dia soak --resume --checkpoint %s"
-                  path
-            | None, None -> "");
+            (Option.value ~default:"" state_dir);
           exit 137
     in
-    if verify_recovery then
+    if kill_event <> None && state_dir = None then
+      `Error (false, "--kill-event requires --state-dir DIR")
+    else if verify_recovery then
       match (state_dir, kill_event) with
       | Some dir, Some kill_at_event ->
           let v =
@@ -802,13 +789,13 @@ let soak_cmd =
           `Error
             (false, "--verify-recovery requires --state-dir DIR and --kill-event N")
     else if resume then
-      match (state_dir, checkpoint) with
-      | Some dir, _ -> (
+      match state_dir with
+      | Some dir ->
           let r = Dia_runtime.Recovery.restore ~dir scenario config in
           List.iter
             (fun (g, m) -> Printf.printf "(skipping corrupt ckpt.%d: %s)\n" g m)
             r.Dia_runtime.Recovery.skipped;
-          match r.Dia_runtime.Recovery.generation with
+          (match r.Dia_runtime.Recovery.generation with
           | Some (g, st) ->
               Printf.printf
                 "(restored generation ckpt.%d at event %d; applying %d \
@@ -816,20 +803,14 @@ let soak_cmd =
                 g st.Checkpoint.cursor r.Dia_runtime.Recovery.replayed
                 (match r.Dia_runtime.Recovery.journal_note with
                 | None -> ""
-                | Some m -> "; journal: " ^ m);
-              proceed (Some st)
+                | Some m -> "; journal: " ^ m)
           | None ->
               Printf.printf
                 "(no verifying checkpoint generation; restarting from scratch, \
                  applying %d journaled events first)\n"
-                r.Dia_runtime.Recovery.replayed;
-              proceed (Some r.Dia_runtime.Recovery.resume))
-      | None, Some path -> (
-          match Checkpoint.load path with
-          | Ok st -> proceed (Some st)
-          | Error m -> `Error (false, "cannot resume: " ^ m))
-      | None, None ->
-          `Error (false, "--resume requires --checkpoint FILE or --state-dir DIR")
+                r.Dia_runtime.Recovery.replayed);
+          proceed (Some r.Dia_runtime.Recovery.resume)
+      | None -> `Error (false, "--resume requires --state-dir DIR")
     else proceed None
   in
   Cmd.v
@@ -837,14 +818,14 @@ let soak_cmd =
        ~doc:"Run the self-healing control plane through a chaos trace: \
              Poisson churn, latency drift and crash/recovery schedules, \
              with SLO-guarded bounded repair, admission control, and \
-             checkpoint/restore. Deterministic: any kill at a checkpoint \
-             boundary resumes to a bit-identical report and event log.")
+             durable recovery through $(b,--state-dir) (write-ahead journal \
+             plus checkpoint generations). Deterministic: a kill at any \
+             event resumes to a bit-identical report and event log.")
     Term.(ret (const run $ seed_arg $ nodes_arg $ servers_arg $ capacity_arg
                $ horizon_arg $ rate_arg $ lifetime_arg $ drift_period_arg
                $ drift_amplitude_arg $ soak_fault_arg $ budget_arg
-               $ max_queue_arg $ lb_every_arg $ checkpoint_arg
-               $ checkpoint_every_arg $ resume_arg $ kill_after_arg
-               $ state_dir_arg $ keep_arg $ kill_event_arg
+               $ max_queue_arg $ lb_every_arg $ checkpoint_every_arg
+               $ resume_arg $ state_dir_arg $ keep_arg $ kill_event_arg
                $ verify_recovery_arg $ log_arg $ no_standby_arg
                $ standby_bound_arg $ baseline_arg $ clients_arg
                $ coreset_eps_arg $ soak_delay_arg $ soak_csv_arg))

@@ -65,9 +65,12 @@ let soak_determinism_checks ~seed =
   match Soak.run scenario config with
   | Soak.Killed _ -> [ "soak determinism: uninterrupted run reported Killed" ]
   | Soak.Completed base -> (
-      match Soak.run ~kill_after:1 scenario config with
+      (* A kill on the last event of the first checkpoint window
+         returns the state that checkpoint captures. *)
+      let boundary = config.Soak.checkpoint_every - 1 in
+      match Soak.run ~kill_at_event:boundary scenario config with
       | Soak.Completed _ ->
-          [ "soak determinism: kill_after run completed without stopping" ]
+          [ "soak determinism: killed run completed without stopping" ]
       | Soak.Killed st -> (
           match Checkpoint.decode (Checkpoint.encode st) with
           | Error m -> [ "soak determinism: checkpoint round-trip failed: " ^ m ]

@@ -366,38 +366,6 @@ let decode text =
   | Failure m -> Error m
   | Invalid_argument m -> Error ("checkpoint: " ^ m)
 
-(* The format version a file on disk claims, if it can be read at all.
-   Used by [save] to refuse clobbering a file written by a newer binary. *)
-let file_version path =
-  if not (Sys.file_exists path) then None
-  else
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic -> (
-        let header = try input_line ic with End_of_file | Sys_error _ -> "" in
-        close_in ic;
-        match String.split_on_char ' ' header with
-        | [ "dia-soak-checkpoint"; v ]
-          when String.length v > 1 && v.[0] = 'v' ->
-            int_of_string_opt (String.sub v 1 (String.length v - 1))
-        | _ -> None)
-
-let save path state =
-  (match file_version path with
-  | Some v when v > version ->
-      invalid_arg
-        (Printf.sprintf
-           "Checkpoint.save: %s is a v%d checkpoint; refusing to overwrite it \
-            with the older v%d format (downgrade would silently discard state \
-            a newer binary persisted)"
-           path v version)
-  | _ -> ());
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (encode state);
-  close_out oc;
-  Sys.rename tmp path
-
 let load path =
   match
     let ic = open_in_bin path in

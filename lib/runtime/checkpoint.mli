@@ -9,15 +9,17 @@
     SLO state machine, the admission queue and counters, the repair
     bookkeeping (including the sub-seed cursor for protocol-level repair
     epochs — the "RNG cursor"), and the accumulated objective trace and
-    event log. A run killed with [SIGKILL] at any checkpoint boundary
-    and resumed from the file produces a final report bit-identical to
-    the uninterrupted run.
+    event log. A run killed at a checkpoint boundary and resumed from
+    that checkpoint produces a final report bit-identical to the
+    uninterrupted run.
 
     The format is a line-oriented, versioned text file. Floats are
-    printed with {!Codec.float_str}, which round-trips exactly. Writes
-    are atomic (temp file + rename), so a kill {e during} a checkpoint
-    write leaves the previous checkpoint intact. A [scenario] digest
-    guards against resuming under a different configuration.
+    printed with {!Codec.float_str}, which round-trips exactly. This
+    module only encodes and decodes: every write goes through
+    {!Generation.save} and the {!Disk} injector (temp file + rename), so
+    a kill {e during} a checkpoint write leaves the previous generation
+    intact. A [scenario] digest guards against resuming under a
+    different configuration.
 
     {b Versioning.} Format v3 is the only one that decodes. Over the
     earlier formats (v2 added the standby map ([standby=] lines) and the
@@ -92,15 +94,6 @@ val decode : string -> (state, string) result
     Every other header — older or unknown versions alike — is rejected.
     Input is verified section-by-section against its [crc=] lines
     before any field is trusted. Never raises. *)
-
-val save : string -> state -> unit
-(** Atomic write: the state is written to [path ^ ".tmp"] and renamed
-    over [path].
-
-    @raise Invalid_argument if [path] already holds a checkpoint whose
-    header claims a {e newer} format version than this writer produces —
-    an old binary must never silently clobber state persisted by a newer
-    one. *)
 
 val load : string -> (state, string) result
 (** Read and {!decode} a checkpoint file; I/O errors come back as

@@ -41,11 +41,11 @@ let flipped data at =
   end
 
 (* One checkpoint write through the injector: apply every disk rule
-   whose op index is this write, then perform the same tmp-file + rename
-   dance as [Checkpoint.save]. Rules apply in plan order; a flip mutates
-   the payload, a torn write truncates what reaches the tmp file, a
-   rename crash leaves only the tmp file, and a lost fsync truncates the
-   renamed file after the fact (data pages past [at] never made it). *)
+   whose op index is this write, then perform the tmp-file + rename
+   dance. Rules apply in plan order; a flip mutates the payload, a torn
+   write truncates what reaches the tmp file, a rename crash leaves only
+   the tmp file, and a lost fsync truncates the renamed file after the
+   fact (data pages past [at] never made it). *)
 let write_file t ~path data =
   t.ckpt_ops <- t.ckpt_ops + 1;
   let op = t.ckpt_ops in

@@ -15,8 +15,9 @@ val path : dir:string -> int -> string
 (** The on-disk path of generation [n]. *)
 
 val list : dir:string -> int list
-(** Generation numbers present in [dir], ascending. A missing directory
-    is just empty. *)
+(** Generation numbers present in [dir], ascending. Only canonical
+    names count — [ckpt.] and a decimal [n >= 1] without sign or leading
+    zeros, exactly [path ~dir n]. A missing directory is just empty. *)
 
 val latest : dir:string -> int option
 (** The newest generation number present, if any. *)
@@ -30,7 +31,10 @@ val save : ?disk:Disk.t -> dir:string -> keep:int -> Checkpoint.state -> int
     new generation number. With [disk], the write goes through the fault
     injector — the produced file may be corrupt or absent by design.
 
-    @raise Invalid_argument if [keep < 1]. *)
+    @raise Invalid_argument if [keep < 1], or if the newest generation's
+    header claims a {e newer} format version than {!Checkpoint.version}
+    — an old binary must never write next to, and then prune, the state
+    a newer one persisted. Nothing is written or pruned then. *)
 
 val newest_verifying :
   dir:string -> digest:string -> (int * Checkpoint.state) option * (int * string) list

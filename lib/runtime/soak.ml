@@ -885,13 +885,9 @@ let journal_tail scenario ~dir (ck : Checkpoint.state) =
       in
       take ck.cursor ck.now [] j.records
 
-let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
-    ?kill_at_event scenario config =
+let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_at_event scenario config =
   validate scenario config;
   if keep < 1 then invalid_arg "Soak: keep must be >= 1";
-  (match kill_after with
-  | Some n when n < 1 -> invalid_arg "Soak: kill_after must be >= 1"
-  | _ -> ());
   (match kill_at_event with
   | Some n when n < 0 -> invalid_arg "Soak: kill_at_event must be >= 0"
   | _ -> ());
@@ -933,20 +929,20 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
         (tail, Some (Journal.create ~disk ~path ~digest:dg ~base:start ()))
   in
   (* Materialising the state is O(sessions) — with a million weighted
-     sessions it would dwarf the events themselves — so only capture
-     when someone consumes it. *)
-  let persist = checkpoint_path <> None || state_dir <> None || kill_after <> None in
+     sessions it would dwarf the events themselves — so a boundary
+     captures only when a state directory persists it. A kill captures
+     after the boundary's save, so a kill on event [n * checkpoint_every
+     - 1] returns exactly the state of the [n]-th checkpoint. *)
   let apply i ev =
     (match journal with
     | Some w -> Journal.append w ~cursor:i (Trace.to_line ev)
     | None -> ());
-    if step st i ev && persist then begin
-      let ck = capture st ~cursor:(i + 1) in
-      Option.iter Journal.flush journal;
-      Option.iter (fun path -> Checkpoint.save path ck) checkpoint_path;
-      Option.iter (fun dir -> ignore (Generation.save ~disk ~dir ~keep ck)) state_dir;
-      match kill_after with Some n when st.checkpoints >= n -> raise (Kill ck) | _ -> ()
-    end;
+    if step st i ev then
+      Option.iter
+        (fun dir ->
+          Option.iter Journal.flush journal;
+          ignore (Generation.save ~disk ~dir ~keep (capture st ~cursor:(i + 1))))
+        state_dir;
     match kill_at_event with
     | Some n when n = i -> raise (Kill (capture st ~cursor:(i + 1)))
     | _ -> ()

@@ -202,29 +202,24 @@ type report = {
 type outcome =
   | Completed of report
   | Killed of Checkpoint.state
-      (** the run stopped right after writing checkpoint [kill_after] —
-          the deterministic stand-in for [kill -9]; resume from the
-          returned state (or the file) to finish the run *)
+      (** the run stopped right after the [kill_at_event] event — the
+          deterministic stand-in for [kill -9]; resume from the returned
+          state (or from the state directory) to finish the run *)
 
 val run :
-  ?checkpoint_path:string ->
   ?state_dir:string ->
   ?keep:int ->
   ?disk:Disk.t ->
   ?resume_from:Checkpoint.state ->
-  ?kill_after:int ->
   ?kill_at_event:int ->
   scenario ->
   config ->
   outcome
-(** Execute (or continue) a soak run. [checkpoint_path] persists every
-    checkpoint atomically; [resume_from] continues from a decoded
-    checkpoint (its digest must match; a fresh run starts from
-    {!initial}); [kill_after n] stops the run immediately after the
-    [n]-th checkpoint of {e this} process — used by tests and CI to
-    exercise the kill/resume path deterministically.
+(** Execute (or continue) a soak run. [resume_from] continues from a
+    decoded checkpoint (its digest must match; a fresh run starts from
+    {!initial}).
 
-    {b Durable recovery.} [state_dir] turns on the durability layer: a
+    {b Durable recovery.} [state_dir] is the only persistence: a
     write-ahead {!Journal} of the trace events, each appended {e before}
     it is applied (flushed in batches and before every generation save),
     plus numbered {!Generation} checkpoints at every boundary, keeping
@@ -234,15 +229,17 @@ val run :
     the writes they name. With [resume_from] too, the run first applies
     the old journal's {!journal_tail}, read before the new journal
     truncates the file, then continues from the seeded trace; a fresh
-    run never reads the old journal. [kill_at_event i] stops the run
-    right after trace event [i] — {e any} index, not just a boundary —
-    with the captured state: with {!Recovery.restore}, the
-    boundary-free kill/resume path. None of these options changes the
-    scenario digest.
+    run never reads the old journal.
+
+    [kill_at_event i] stops the run right after trace event [i] — any
+    index — and returns the captured state; with {!Recovery.restore},
+    this is the kill/resume path tests and CI drive. The boundary save
+    comes first, so [kill_at_event (n * checkpoint_every - 1)] returns
+    the very state the [n]-th checkpoint wrote. None of these options
+    changes the scenario digest.
 
     @raise Invalid_argument on invalid scenario/config values, a digest
-    mismatch on resume, [keep < 1], [kill_after < 1] or a negative
-    [kill_at_event]. *)
+    mismatch on resume, [keep < 1] or a negative [kill_at_event]. *)
 
 val render : report -> string
 (** Deterministic human-readable report. Two runs are considered

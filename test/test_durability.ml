@@ -60,9 +60,13 @@ let small_scenario =
 
 let small_config = { Soak.default_config with Soak.checkpoint_every = 20 }
 
+(* Killed on the first checkpoint boundary: the state that checkpoint
+   captures. *)
 let killed scenario config =
-  match Soak.run ~kill_after:1 scenario config with
-  | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
+  match
+    Soak.run ~kill_at_event:(config.Soak.checkpoint_every - 1) scenario config
+  with
+  | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
   | Soak.Killed st -> st
 
 (* --- Crc --- *)
@@ -302,26 +306,47 @@ let prop_mutation_fuzzer_never_panics =
 let test_save_refuses_to_clobber_newer_version () =
   let st = killed small_scenario small_config in
   let dir = fresh_dir () in
-  let path = Filename.concat dir "ckpt" in
-  write_file path
-    (Printf.sprintf "dia-soak-checkpoint v%d\nfrom the future\nend\n"
-       (Checkpoint.version + 1));
-  (match Checkpoint.save path st with
+  let future =
+    Printf.sprintf "dia-soak-checkpoint v%d\nfrom the future\nend\n"
+      (Checkpoint.version + 1)
+  in
+  write_file (Generation.path ~dir 1) future;
+  (* With keep:1 an unguarded save would write ckpt.2 and then prune the
+     newer binary's ckpt.1. *)
+  (match Generation.save ~dir ~keep:1 st with
   | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "older writer clobbered a newer checkpoint");
-  Alcotest.(check bool) "newer file untouched" true
-    (String.length (read_file path) > 0
-    &&
-    let body = read_file path in
-    String.sub body 0 22
-    = Printf.sprintf "dia-soak-checkpoint v%d" (Checkpoint.version + 1));
-  (* same-version overwrite is still fine *)
-  let path = Filename.concat dir "ckpt2" in
-  Checkpoint.save path st;
-  Checkpoint.save path st;
-  match Checkpoint.load path with
+  | n -> Alcotest.fail (Printf.sprintf "older writer saved ckpt.%d" n));
+  Alcotest.(check (list int)) "nothing written or pruned" [ 1 ] (Generation.list ~dir);
+  Alcotest.(check string) "newer file untouched" future
+    (read_file (Generation.path ~dir 1));
+  (* a same-version history is still extended and pruned *)
+  let dir = fresh_dir () in
+  ignore (Generation.save ~dir ~keep:1 st);
+  Alcotest.(check int) "same version extends" 2 (Generation.save ~dir ~keep:1 st);
+  Alcotest.(check (list int)) "and prunes" [ 2 ] (Generation.list ~dir);
+  match Checkpoint.load (Generation.path ~dir 2) with
   | Ok st' -> Alcotest.(check int) "reloaded" st.Checkpoint.cursor st'.Checkpoint.cursor
   | Error m -> Alcotest.fail m
+
+let test_generation_names_are_canonical () =
+  (* None of these is [path ~dir n] for an [n >= 1]. [int_of_string]
+     alone reads the first four as 16, 10, 3 and 7, whose [path] names
+     another file. *)
+  let st = killed small_scenario small_config in
+  let dir = fresh_dir () in
+  List.iter
+    (fun name -> write_file (Filename.concat dir name) "not a generation\n")
+    [
+      "ckpt.0x10"; "ckpt.1_0"; "ckpt.+3"; "ckpt.007"; "ckpt.0"; "ckpt.-1"; "ckpt.2.tmp";
+    ];
+  write_file (Generation.path ~dir 2) (Checkpoint.encode st);
+  Alcotest.(check (list int)) "only ckpt.2 is a generation" [ 2 ]
+    (Generation.list ~dir);
+  (match Generation.newest_verifying ~dir ~digest:st.Checkpoint.digest with
+  | Some (2, _), [] -> ()
+  | _ -> Alcotest.fail "recovery skipped a bogus generation or missed ckpt.2");
+  Alcotest.(check int) "numbering continues from ckpt.2" 3
+    (Generation.save ~dir ~keep:3 st)
 
 (* --- Recovery: the end-to-end harness --- *)
 
@@ -415,6 +440,35 @@ let prop_boundary_free_recovery_bit_identical =
       let dir = fresh_dir () in
       let v = Recovery.verify ~state_dir:dir ~kill_at_event scenario small_config in
       v.Recovery.ok)
+
+(* --- kills on a checkpoint boundary --- *)
+
+let test_boundary_kill_returns_the_checkpoint () =
+  (* The save comes before the kill check, so a kill on the last event of
+     the n-th window returns exactly what ckpt.n holds — and, without a
+     state dir, the same state: the kill/resume tests that run without
+     one still resume from a checkpoint. *)
+  List.iter
+    (fun n ->
+      let kill_at_event = (n * small_config.Soak.checkpoint_every) - 1 in
+      let dir = fresh_dir () in
+      match
+        ( Soak.run ~state_dir:dir ~kill_at_event small_scenario small_config,
+          Soak.run ~kill_at_event small_scenario small_config )
+      with
+      | Soak.Killed st, Soak.Killed bare ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "kill %d: ckpt.%d is the newest" n n)
+            (Some n) (Generation.latest ~dir);
+          Alcotest.(check string)
+            (Printf.sprintf "kill %d: state is ckpt.%d byte for byte" n n)
+            (read_file (Generation.path ~dir n))
+            (Checkpoint.encode st);
+          Alcotest.(check string)
+            (Printf.sprintf "kill %d: same state without a state dir" n)
+            (Checkpoint.encode st) (Checkpoint.encode bare)
+      | _ -> Alcotest.fail "kill_at_event ignored")
+    [ 1; 2; 3 ]
 
 (* --- the journal is the input of record --- *)
 
@@ -607,6 +661,8 @@ let suite =
     Alcotest.test_case "kill past the end still matches" `Quick
       test_verify_recovery_kill_past_end;
     QCheck_alcotest.to_alcotest prop_boundary_free_recovery_bit_identical;
+    Alcotest.test_case "a boundary kill returns the checkpoint it wrote" `Quick
+      test_boundary_kill_returns_the_checkpoint;
     Alcotest.test_case "resume folds the journaled events" `Quick
       test_resume_folds_the_journal;
     Alcotest.test_case "unusable journal falls back to the seeded trace" `Quick
@@ -615,4 +671,6 @@ let suite =
       test_fresh_run_ignores_the_journal;
     Alcotest.test_case "disk-fault DSL round-trips and splits" `Quick
       test_disk_dsl_roundtrip;
+    Alcotest.test_case "generation names are canonical decimals" `Quick
+      test_generation_names_are_canonical;
   ]

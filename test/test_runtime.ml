@@ -398,7 +398,11 @@ let small_config = { Soak.default_config with Soak.checkpoint_every = 20 }
 let complete scenario config =
   match Soak.run scenario config with
   | Soak.Completed r -> r
-  | Soak.Killed _ -> Alcotest.fail "run killed without kill_after"
+  | Soak.Killed _ -> Alcotest.fail "run killed without kill_at_event"
+
+(* The event on which the [n]-th checkpoint of [config] is taken: a kill
+   there returns the state that checkpoint captures. *)
+let boundary config n = (n * config.Soak.checkpoint_every) - 1
 
 let test_trace_check_rejects_impossible_events () =
   let check ?(after = 10.) time kind =
@@ -433,8 +437,9 @@ let test_trace_check_rejects_impossible_events () =
     trace
 
 let test_checkpoint_codec_roundtrip () =
-  match Soak.run ~kill_after:1 small_scenario small_config with
-  | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
+  let kill_at_event = boundary small_config 1 in
+  match Soak.run ~kill_at_event small_scenario small_config with
+  | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
   | Soak.Killed st -> (
       match Checkpoint.decode (Checkpoint.encode st) with
       | Error m -> Alcotest.fail m
@@ -453,22 +458,23 @@ let test_checkpoint_codec_roundtrip () =
 let test_soak_kill_resume_identical () =
   let base = complete small_scenario small_config in
   List.iter
-    (fun kill_after ->
-      match Soak.run ~kill_after small_scenario small_config with
-      | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
+    (fun n ->
+      let kill_at_event = boundary small_config n in
+      match Soak.run ~kill_at_event small_scenario small_config with
+      | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
       | Soak.Killed st -> (
           match Soak.run ~resume_from:st small_scenario small_config with
           | Soak.Killed _ -> Alcotest.fail "resumed run killed"
           | Soak.Completed resumed ->
               Alcotest.(check string)
-                (Printf.sprintf "report identical after kill %d" kill_after)
+                (Printf.sprintf "report identical after kill %d" n)
                 (Soak.render base) (Soak.render resumed);
               Alcotest.(check string)
-                (Printf.sprintf "event log identical after kill %d" kill_after)
+                (Printf.sprintf "event log identical after kill %d" n)
                 (Event_log.render base.Soak.log)
                 (Event_log.render resumed.Soak.log);
               Alcotest.(check string)
-                (Printf.sprintf "objective trace identical after kill %d" kill_after)
+                (Printf.sprintf "objective trace identical after kill %d" n)
                 (Soak.csv base) (Soak.csv resumed)))
     [ 1; 2; 3 ]
 
@@ -499,20 +505,19 @@ let test_soak_resume_at_trace_end_keeps_time () =
         Soak.run ~kill_at_event:(events - 1) small_scenario );
       ( "boundary",
         { small_config with Soak.checkpoint_every = events },
-        Soak.run ~kill_after:1 small_scenario );
+        fun config ->
+          Soak.run ~kill_at_event:(boundary config 1) small_scenario config );
     ]
 
-let test_soak_rejects_kill_after_below_one () =
-  List.iter
-    (fun kill_after ->
-      match Soak.run ~kill_after small_scenario small_config with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail (Printf.sprintf "kill_after %d accepted" kill_after))
-    [ 0; -1 ]
+let test_soak_rejects_negative_kill_event () =
+  match Soak.run ~kill_at_event:(-1) small_scenario small_config with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "kill_at_event -1 accepted"
 
 let test_soak_resume_rejects_other_config () =
-  match Soak.run ~kill_after:1 small_scenario small_config with
-  | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
+  let kill_at_event = boundary small_config 1 in
+  match Soak.run ~kill_at_event small_scenario small_config with
+  | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
   | Soak.Killed st -> (
       let other = { small_config with Soak.budget = small_config.Soak.budget + 1 } in
       match Soak.run ~resume_from:st small_scenario other with
@@ -640,9 +645,10 @@ let test_soak_delay_kill_resume_identical () =
   Alcotest.(check (option string))
     "delay model survives to the report" (Some "mm1:12") base.Soak.delay_model;
   List.iter
-    (fun kill_after ->
-      match Soak.run ~kill_after delay_scenario small_config with
-      | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
+    (fun n ->
+      let kill_at_event = boundary small_config n in
+      match Soak.run ~kill_at_event delay_scenario small_config with
+      | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
       | Soak.Killed st -> (
           match Checkpoint.decode (Checkpoint.encode st) with
           | Error m -> Alcotest.fail m
@@ -651,14 +657,14 @@ let test_soak_delay_kill_resume_identical () =
               | Soak.Killed _ -> Alcotest.fail "resumed run killed"
               | Soak.Completed resumed ->
                   Alcotest.(check string)
-                    (Printf.sprintf "report identical after kill %d" kill_after)
+                    (Printf.sprintf "report identical after kill %d" n)
                     (Soak.render base) (Soak.render resumed);
                   Alcotest.(check string)
-                    (Printf.sprintf "event log identical after kill %d" kill_after)
+                    (Printf.sprintf "event log identical after kill %d" n)
                     (Event_log.render base.Soak.log)
                     (Event_log.render resumed.Soak.log);
                   Alcotest.(check string)
-                    (Printf.sprintf "objective trace identical after kill %d" kill_after)
+                    (Printf.sprintf "objective trace identical after kill %d" n)
                     (Soak.csv base) (Soak.csv resumed))))
     [ 1; 2 ]
 
@@ -676,7 +682,7 @@ let prop_soak_deterministic_under_random_kills =
   QCheck.Test.make ~name:"soak kill/resume is bit-identical at any kill point"
     ~count:12
     QCheck.(triple (int_bound 1000) (int_range 5 40) (int_range 1 3))
-    (fun (seed, checkpoint_every, kill_after) ->
+    (fun (seed, checkpoint_every, n) ->
       let scenario =
         {
           small_scenario with
@@ -688,7 +694,7 @@ let prop_soak_deterministic_under_random_kills =
       match Soak.run scenario config with
       | Soak.Killed _ -> false
       | Soak.Completed base -> (
-          match Soak.run ~kill_after scenario config with
+          match Soak.run ~kill_at_event:(boundary config n) scenario config with
           | Soak.Completed r ->
               (* not enough checkpoints to kill at: the run must then be
                  the uninterrupted one *)
@@ -742,8 +748,8 @@ let suite =
       test_soak_resume_rejects_other_config;
     Alcotest.test_case "resume at the trace end keeps the last time" `Quick
       test_soak_resume_at_trace_end_keeps_time;
-    Alcotest.test_case "kill_after below 1 is rejected" `Quick
-      test_soak_rejects_kill_after_below_one;
+    Alcotest.test_case "negative kill_at_event is rejected" `Quick
+      test_soak_rejects_negative_kill_event;
     Alcotest.test_case "guardrails: steady ratio and epoch budget" `Quick
       test_soak_guardrails;
     Alcotest.test_case "critical triggers protocol repair and brownout" `Quick

@@ -224,7 +224,7 @@ let small_config = { Soak.default_config with Soak.checkpoint_every = 20 }
 let complete scenario config =
   match Soak.run scenario config with
   | Soak.Completed r -> r
-  | Soak.Killed _ -> Alcotest.fail "run killed without kill_after"
+  | Soak.Killed _ -> Alcotest.fail "run killed without kill_at_event"
 
 let test_soak_promotes_instead_of_resolving () =
   let r = complete small_scenario small_config in
@@ -257,9 +257,13 @@ let test_soak_no_standby_falls_back_to_resolve () =
 
 (* --- Checkpoint v3, and the older formats refused --- *)
 
+(* Killed on the first checkpoint boundary: the state that checkpoint
+   captures. *)
 let killed scenario config =
-  match Soak.run ~kill_after:1 scenario config with
-  | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
+  match
+    Soak.run ~kill_at_event:(config.Soak.checkpoint_every - 1) scenario config
+  with
+  | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
   | Soak.Killed st -> st
 
 let test_checkpoint_v3_roundtrip_with_standbys () =
