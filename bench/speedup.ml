@@ -6,9 +6,11 @@
    bench/BENCH.seed.json. Exits non-zero if either kernel's win over the
    seed drops below the --min factor (default 3.0: the refactor targets
    >= 5x on a quiet machine; CI runners are noisy, so the gate is
-   deliberately generous). Two ratio gates follow: load-aware Greedy
-   against plain Greedy on the same instance, and the write-ahead
-   journal's tax on the churn kernel.
+   deliberately generous). Three ratio gates follow: load-aware Greedy
+   against plain Greedy on the same instance, the write-ahead journal's
+   tax on the churn kernel, and the checkpoint encoder against its
+   reference on a 150k-session state (last, as its soak leaves the
+   biggest heap behind).
 
    Timing is best-of-N wall clock after warmup — the minimum is the right
    statistic for a regression gate because noise only ever adds time. *)
@@ -238,5 +240,53 @@ let () =
        (gate: %.0f%%)\n"
       (100. *. overhead)
       (100. *. !journal_max_overhead);
+    exit 1
+  end
+
+(* Checkpoint-encode gate: a boundary of a 150k-session weighted soak
+   encodes ~150k session lines, so [Checkpoint.encode] must stay at
+   least [encode_min_speedup] times faster than its executable spec
+   [Checkpoint.encode_reference] on the state such a soak persists at
+   its first boundary. Interleaved best-of rounds, like the gates before
+   it. *)
+let encode_min_speedup = 2.0
+
+let () =
+  let module Soak = Dia_runtime.Soak in
+  let module Checkpoint = Dia_runtime.Checkpoint in
+  let scenario =
+    { Soak.default_scenario with Soak.clients = 150_000; coreset_eps = Some 0.05 }
+  in
+  let config = Soak.default_config in
+  let st =
+    match Soak.run ~kill_at_event:(config.Soak.checkpoint_every - 1) scenario config with
+    | Soak.Killed st -> st
+    | Soak.Completed _ -> failwith "speedup: kill_at_event ignored"
+  in
+  let fast () = Checkpoint.encode st and reference () = Checkpoint.encode_reference st in
+  if fast () <> reference () then begin
+    prerr_endline "speedup: Checkpoint.encode differs from encode_reference";
+    exit 1
+  end;
+  let fast_t = ref infinity and reference_t = ref infinity in
+  for _ = 1 to !runs do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (reference ()));
+    let t1 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (fast ()));
+    let t2 = Unix.gettimeofday () in
+    if t1 -. t0 < !reference_t then reference_t := t1 -. t0;
+    if t2 -. t1 < !fast_t then fast_t := t2 -. t1
+  done;
+  let fast_ns = !fast_t *. 1e9 and reference_ns = !reference_t *. 1e9 in
+  let speedup = reference_ns /. fast_ns in
+  let verdict = if speedup >= encode_min_speedup then "OK" else "TOO SLOW" in
+  Printf.printf "%-32s ref %11.0f ns   encode %9.0f ns   speedup %5.2fx   [%s]\n"
+    "checkpoint/encode(150k sessions)" reference_ns fast_ns speedup verdict;
+  if speedup < encode_min_speedup then begin
+    Printf.eprintf
+      "speedup: Checkpoint.encode is only %.2fx faster than encode_reference \
+       (gate: %.1fx)\n"
+      speedup encode_min_speedup;
     exit 1
   end

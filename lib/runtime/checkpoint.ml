@@ -50,7 +50,7 @@ let list_sections =
 
 let section_names = "scalars" :: list_sections
 
-let encode s =
+let encode_reference s =
   let line b fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
   let scalars = Buffer.create 1024 in
   let sline fmt = line scalars fmt in
@@ -129,6 +129,137 @@ let encode s =
     bodies;
   Buffer.add_string b "end\n";
   Buffer.contents b
+
+(* The file image, written in place by the allocation-free {!Codec}
+   writers: a boundary of a 150k-session soak writes ~150k lines, where
+   a format interpreter and a string per line cost more than the rest of
+   the boundary together. *)
+type image = { mutable bytes : Bytes.t; mutable len : int }
+
+let reserve img n =
+  if img.len + n > Bytes.length img.bytes then begin
+    let bytes = Bytes.create (max (img.len + n) (2 * Bytes.length img.bytes)) in
+    Bytes.blit img.bytes 0 bytes 0 img.len;
+    img.bytes <- bytes
+  end
+
+let add_string img s =
+  reserve img (String.length s);
+  img.len <- Codec.put_string img.bytes img.len s
+
+let add_int img n =
+  reserve img 20;
+  img.len <- Codec.put_int img.bytes img.len n
+
+let add_char img c =
+  reserve img 1;
+  Bytes.unsafe_set img.bytes img.len c;
+  img.len <- img.len + 1
+
+(* The same bytes as [encode_reference], in one pass: every section is
+   written straight into the image and its CRC taken over its byte range. *)
+let encode s =
+  (* Sized for typical lines, so even a 150k-session image grows at most
+     once on its way: every doubling is a fresh major-heap block. *)
+  let size =
+    let n l = List.length l in
+    1024
+    + (24 * (n s.members + n s.standbys + n s.sessions + n s.drift + n s.queue))
+    + (64 * (n s.trace_points + n s.baseline_points))
+    + (96 * n s.log)
+  in
+  let img = { bytes = Bytes.create size; len = 0 } in
+  let str key v = add_string img key; add_string img v; add_char img '\n' in
+  let int key n = add_string img key; add_int img n; add_char img '\n' in
+  let ints key l =
+    add_string img key;
+    List.iteri (fun i n -> if i > 0 then add_char img ','; add_int img n) l;
+    add_char img '\n'
+  in
+  (* the list-free forms of [ints] for the per-session lines *)
+  let int2 key a b =
+    add_string img key; add_int img a; add_char img ','; add_int img b;
+    add_char img '\n'
+  in
+  let int3 key a b c =
+    add_string img key; add_int img a; add_char img ','; add_int img b;
+    add_char img ','; add_int img c; add_char img '\n'
+  in
+  let floats3 key (a, b, c) =
+    add_string img key;
+    add_string img (fs a); add_char img ',';
+    add_string img (fs b); add_char img ',';
+    add_string img (fs c); add_char img '\n'
+  in
+  let write_section = function
+    | "scalars" ->
+        str "digest=" s.digest;
+        int "cursor=" s.cursor;
+        str "now=" (fs s.now);
+        (match s.capacity with
+        | None -> str "capacity=" "none"
+        | Some c -> int "capacity=" c);
+        int "next_id=" s.next_id;
+        ints "failed=" s.failed;
+        let st = s.session_stats in
+        int3 "stats=" st.Dia_core.Dynamic.joins st.leaves st.moves;
+        str "slo=" s.slo;
+        int "admitted=" s.admitted;
+        int "queued=" s.queued;
+        int "shed=" s.shed;
+        int "drained=" s.drained;
+        int "abandoned=" s.abandoned;
+        int "leaves=" s.leaves;
+        int "crashes=" s.crashes;
+        int "crashes_skipped=" s.crashes_skipped;
+        int "recoveries=" s.recoveries;
+        int "drifts=" s.drifts;
+        int "stranded=" s.stranded;
+        int "repairs=" s.repairs;
+        int "repair_moves=" s.repair_moves;
+        int "max_epoch_moves=" s.max_epoch_moves;
+        int "protocol_epochs=" s.protocol_epochs;
+        int "protocol_stalls=" s.protocol_stalls;
+        int "rng_cursor=" s.rng_cursor;
+        str "lb=" (fs s.lb);
+        int "events_since_lb=" s.events_since_lb;
+        int "checkpoints=" s.checkpoints
+    | "member" ->
+        List.iter (fun (id, node, server) -> int3 "member=" id node server) s.members
+    | "standby" -> List.iter (fun (id, standby) -> int2 "standby=" id standby) s.standbys
+    | "session" ->
+        List.iter (fun (session, client) -> int2 "session=" session client) s.sessions
+    | "drift" ->
+        List.iter
+          (fun (server, factor) ->
+            add_string img "drift="; add_int img server; add_char img ',';
+            add_string img (fs factor); add_char img '\n')
+          s.drift
+    | "queue" -> List.iter (fun (session, node) -> int2 "queue=" session node) s.queue
+    | "trace" -> List.iter (floats3 "trace=") s.trace_points
+    | "baseline" -> List.iter (floats3 "baseline=") s.baseline_points
+    | "log" -> List.iter (fun e -> str "log=" (Codec.escape (Event_log.to_line e))) s.log
+    | _ -> assert false
+  in
+  int "dia-soak-checkpoint v" version;
+  let ranges =
+    List.fold_left
+      (fun acc name ->
+        let pos = img.len in
+        write_section name;
+        (name, pos, img.len - pos) :: acc)
+      [] section_names
+  in
+  List.iter
+    (fun (name, pos, len) ->
+      let crc = Crc.digest_bytes img.bytes ~pos ~len in
+      add_string img "crc="; add_string img name; add_char img ':';
+      reserve img 8;
+      img.len <- Crc.hex_into img.bytes img.len crc;
+      add_char img '\n')
+    (List.rev ranges);
+  add_string img "end\n";
+  Bytes.sub_string img.bytes 0 img.len
 
 exception Bad of string
 

@@ -24,14 +24,15 @@ let tables =
      done;
      t)
 
-let digest s =
+(* The CRC of [b]'s bytes [pos..n-1], unchecked: [digest] calls it on
+   every journal record, so the range check is [digest_bytes]'s alone. *)
+let range b pos n =
   let t = Lazy.force tables in
   let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
-  let n = String.length s in
   let crc = ref 0xFFFFFFFF in
-  let i = ref 0 in
+  let i = ref pos in
   while !i + 4 <= n do
-    let w = Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF in
+    let w = Int32.to_int (Bytes.get_int32_le b !i) land 0xFFFFFFFF in
     let x = !crc lxor w in
     crc :=
       Array.unsafe_get t3 (x land 0xFF)
@@ -43,11 +44,18 @@ let digest s =
   while !i < n do
     crc :=
       Array.unsafe_get t0
-        ((!crc lxor Char.code (String.unsafe_get s !i)) land 0xFF)
+        ((!crc lxor Char.code (Bytes.unsafe_get b !i)) land 0xFF)
       lxor (!crc lsr 8);
     incr i
   done;
   !crc lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let digest_bytes b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Crc.digest_bytes: range out of bounds";
+  range b pos (pos + len)
+
+let digest s = range (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* Manual rendering: this sits on the journal's per-record hot path,
    where [Printf.sprintf "%08x"] would cost more than the CRC itself. *)

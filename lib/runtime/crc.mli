@@ -10,6 +10,13 @@
 val digest : string -> int
 (** The CRC-32 of the string, in [\[0, 2^32)]. *)
 
+val digest_bytes : Bytes.t -> pos:int -> len:int -> int
+(** [digest_bytes b ~pos ~len] is the {!digest} of [b]'s bytes
+    [pos..pos+len-1], without copying them out — a checkpoint takes each
+    section's CRC over its range of the file image.
+
+    @raise Invalid_argument if the range is not within [b]. *)
+
 val hex : string -> string
 (** {!digest} rendered as exactly 8 lowercase hex characters — the form
     journal records and checkpoint [crc=] lines embed. *)

@@ -31,29 +31,29 @@ let header_version file =
   | exception Sys_error _ | None -> None
   | Some line -> Scanf.sscanf_opt line "dia-soak-checkpoint v%d%!" Fun.id
 
+(* An older binary resuming into a newer binary's state dir must not
+   write its format next to the newer one and then prune it: that would
+   silently discard the state the newer binary persisted. *)
+let refuse_newer ~dir =
+  match latest ~dir with
+  | None -> ()
+  | Some g -> (
+      match header_version (path ~dir g) with
+      | Some v when v > Checkpoint.version ->
+          invalid_arg
+            (Printf.sprintf
+               "Generation: %s is a v%d checkpoint; refusing to write the older \
+                v%d format over its history"
+               (path ~dir g) v Checkpoint.version)
+      | _ -> ())
+
 let save ?disk ~dir ~keep state =
   if keep < 1 then invalid_arg "Generation.save: keep must be >= 1";
+  refuse_newer ~dir;
   ensure_dir dir;
   let disk = match disk with Some d -> d | None -> Disk.none () in
   let gens = list ~dir in
-  let n =
-    match List.rev gens with
-    | [] -> 1
-    | g :: _ ->
-        (* An older binary resuming into a newer binary's state dir must
-           not write its format next to the newer one and then prune
-           it: that would silently discard the state the newer binary
-           persisted. *)
-        (match header_version (path ~dir g) with
-        | Some v when v > Checkpoint.version ->
-            invalid_arg
-              (Printf.sprintf
-                 "Generation.save: %s is a v%d checkpoint; refusing to write \
-                  the older v%d format over its history"
-                 (path ~dir g) v Checkpoint.version)
-        | _ -> ());
-        g + 1
-  in
+  let n = match List.rev gens with [] -> 1 | g :: _ -> g + 1 in
   Disk.write_file disk ~path:(path ~dir n) (Checkpoint.encode state);
   (* Prune beyond the retention window. A generation the injector
      refused to rename still consumed number [n] conceptually but left

@@ -25,16 +25,24 @@ val latest : dir:string -> int option
 val ensure_dir : string -> unit
 (** Create the state directory if it does not exist yet (single level). *)
 
+val refuse_newer : dir:string -> unit
+(** Check that an older binary may write into [dir]: nothing happens
+    unless the newest generation's header claims a {e newer} format
+    version than {!Checkpoint.version}. {!save} and a soak run with a
+    state dir both call it before they write anything — the soak before
+    its journal truncates the file.
+
+    @raise Invalid_argument naming that generation otherwise. *)
+
 val save : ?disk:Disk.t -> dir:string -> keep:int -> Checkpoint.state -> int
 (** Write the state as the next generation (creating [dir] if needed)
     and prune generations older than the [keep] most recent. Returns the
     new generation number. With [disk], the write goes through the fault
     injector — the produced file may be corrupt or absent by design.
 
-    @raise Invalid_argument if [keep < 1], or if the newest generation's
-    header claims a {e newer} format version than {!Checkpoint.version}
-    — an old binary must never write next to, and then prune, the state
-    a newer one persisted. Nothing is written or pruned then. *)
+    @raise Invalid_argument if [keep < 1], or if {!refuse_newer} does —
+    an old binary must never write next to, and then prune, the state a
+    newer one persisted. Nothing is written or pruned then. *)
 
 val newest_verifying :
   dir:string -> digest:string -> (int * Checkpoint.state) option * (int * string) list

@@ -610,6 +610,158 @@ let test_fresh_run_ignores_the_journal () =
       Alcotest.(check string) "log" (Event_log.render base.Soak.log)
         (Event_log.render r.Soak.log)
 
+(* --- checkpoint boundaries --- *)
+
+(* Pre-populated sessions hold the ids -clients..-1 and no trace event
+   names them, so a capture walks that range instead of sorting every
+   session; a checkpoint holding any other negative id is refused before
+   such a walk could drop it. *)
+let test_resume_refuses_foreign_negative_sid () =
+  let scenario = { small_scenario with Soak.clients = 5 } in
+  let st = killed scenario small_config in
+  List.iter
+    (fun sid ->
+      let st =
+        { st with Checkpoint.sessions = List.sort compare ((sid, 0) :: st.Checkpoint.sessions) }
+      in
+      match Soak.run ~resume_from:st scenario small_config with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (Printf.sprintf "session %d outside -5..-1 accepted" sid))
+    [ -6; -1_000; min_int ]
+
+(* A fresh run and a resume both write the journal; neither may truncate
+   it when the state dir's newest generation is a newer binary's format. *)
+let test_run_refuses_newer_state_dir_before_the_journal () =
+  let dir = journal_state_dir () in
+  let future =
+    Printf.sprintf "dia-soak-checkpoint v%d\nfrom the future\nend\n"
+      (Checkpoint.version + 1)
+  in
+  write_file (Generation.path ~dir 1) future;
+  let journal = read_file (Recovery.journal_path dir) in
+  (match Soak.run ~state_dir:dir small_scenario small_config with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "ran over a newer binary's state dir");
+  Alcotest.(check string) "journal untouched" journal
+    (read_file (Recovery.journal_path dir));
+  Alcotest.(check string) "newer generation untouched" future
+    (read_file (Generation.path ~dir 1));
+  Alcotest.(check (list int)) "nothing written or pruned" [ 1 ] (Generation.list ~dir)
+
+(* Every kill state lists its sessions strictly ascending by id: the
+   order the checkpoint format has always had. The capacitated scenario
+   strands pre-populated sessions when its server crashes, so the walk
+   over -clients..-1 must skip the holes they leave. *)
+let test_captured_sessions_ascend () =
+  let stranding = { small_scenario with Soak.clients = 30; capacity = Some 10 } in
+  let weighted = { small_scenario with Soak.clients = 500; coreset_eps = Some 0.05 } in
+  List.iter
+    (fun (name, scenario, holes_expected) ->
+      let events = Array.length (Soak.build_trace scenario) in
+      let holes = ref 0 in
+      for kill_at_event = 0 to events - 1 do
+        match Soak.run ~kill_at_event scenario small_config with
+        | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
+        | Soak.Killed st ->
+            let sids = List.map fst st.Checkpoint.sessions in
+            let rec ascending = function
+              | a :: (b :: _ as rest) -> a < b && ascending rest
+              | _ -> true
+            in
+            if not (ascending sids) then
+              Alcotest.fail (Printf.sprintf "%s: kill %d: sessions out of order" name kill_at_event);
+            let prepop = List.length (List.filter (fun sid -> sid < 0) sids) in
+            if prepop < scenario.Soak.clients then incr holes
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: pre-populated holes seen" name)
+        holes_expected (!holes > 0))
+    [ ("capacitated classic", stranding, true); ("weighted", weighted, false) ]
+
+(* [encode] against its executable spec, on states no soak produces:
+   extreme ints, empty sections, non-finite and subnormal floats, and
+   strings holding the escape characters. *)
+let gen_checkpoint_state =
+  let open QCheck.Gen in
+  let int =
+    frequency [ (4, small_signed_int); (2, int); (1, oneofl [ min_int; max_int; 0; -1 ]) ]
+  in
+  let float =
+    frequency
+      [
+        (2, float);
+        (2, map Int64.float_of_bits ui64);
+        ( 1,
+          oneofl
+            [ nan; -.nan; infinity; neg_infinity; 0.; -0.; 5e-324; -2.5e-310; Float.min_float ]
+        );
+      ]
+  in
+  let text = oneof [ string_printable; oneofl [ ""; "a\nb"; "back\\slash"; "\\n\n\\" ] ] in
+  let items g = frequency [ (1, return []); (3, list_size (int_bound 6) g) ] in
+  let level = oneofl Dia_runtime.Slo.[ Healthy; Degraded; Critical ] in
+  let entry =
+    let+ time = float
+    and+ kind =
+      oneof
+        [
+          (let+ session = int and+ client = int and+ server = int in
+           Event_log.Join { session; client; server });
+          (let+ server = int and+ factor = float in Event_log.Drift { server; factor });
+          (let+ from_ = level and+ to_ = level and+ ratio = float and+ objective = text in
+           Event_log.Transition { from_; to_; ratio; objective });
+          (let+ attempt = int and+ stalled = bool and+ moves = int and+ applied = bool in
+           Event_log.Protocol_repair { attempt; stalled; moves; applied });
+          map (fun id -> Event_log.Checkpoint { id }) int;
+        ]
+    in
+    { Event_log.time; kind }
+  in
+  let+ n = array_repeat 26 int
+  and+ now = float
+  and+ lb = float
+  and+ digest = text
+  and+ slo = text
+  and+ capacity = opt int
+  and+ failed = items int
+  and+ members = items (triple int int int)
+  and+ standbys = items (pair int int)
+  and+ drift = items (pair int float)
+  and+ sessions = items (pair int int)
+  and+ queue = items (pair int int)
+  and+ trace_points = items (triple float float float)
+  and+ baseline_points = items (triple float float float)
+  and+ log = items entry in
+  {
+    Checkpoint.version = Checkpoint.version;
+    digest; cursor = n.(0); now; capacity; members; standbys; next_id = n.(1); failed;
+    drift;
+    session_stats = { Dia_core.Dynamic.joins = n.(2); leaves = n.(3); moves = n.(4) };
+    sessions; slo; queue; admitted = n.(5); queued = n.(6); shed = n.(7);
+    drained = n.(8); abandoned = n.(9); leaves = n.(10); crashes = n.(11);
+    crashes_skipped = n.(12); recoveries = n.(13); drifts = n.(14); stranded = n.(15);
+    repairs = n.(16); repair_moves = n.(17); max_epoch_moves = n.(18);
+    protocol_epochs = n.(19); protocol_stalls = n.(20); rng_cursor = n.(21); lb;
+    events_since_lb = n.(22); checkpoints = n.(23); trace_points; baseline_points; log;
+  }
+
+let prop_encode_matches_reference =
+  QCheck.Test.make ~name:"encode writes the bytes of encode_reference" ~count:300
+    (QCheck.make ~print:Checkpoint.encode_reference gen_checkpoint_state)
+    (fun st -> Checkpoint.encode st = Checkpoint.encode_reference st)
+
+(* The state the optimisation is for: a weighted soak of 150k
+   pre-populated sessions, killed on its first checkpoint boundary. *)
+let test_encode_matches_reference_at_scale () =
+  let scenario =
+    { Soak.default_scenario with Soak.clients = 150_000; coreset_eps = Some 0.05 }
+  in
+  let st = killed scenario Soak.default_config in
+  Alcotest.(check int) "every session captured" 150_000
+    (List.length (List.filter (fun (sid, _) -> sid < 0) st.Checkpoint.sessions));
+  Alcotest.(check bool) "same bytes" true
+    (Checkpoint.encode st = Checkpoint.encode_reference st)
+
 (* --- the disk-fault DSL --- *)
 
 let test_disk_dsl_roundtrip () =
@@ -673,4 +825,13 @@ let suite =
       test_disk_dsl_roundtrip;
     Alcotest.test_case "generation names are canonical decimals" `Quick
       test_generation_names_are_canonical;
+    Alcotest.test_case "resume refuses a foreign negative session id" `Quick
+      test_resume_refuses_foreign_negative_sid;
+    Alcotest.test_case "a newer state dir is refused before the journal" `Quick
+      test_run_refuses_newer_state_dir_before_the_journal;
+    Alcotest.test_case "captured sessions ascend by id" `Quick
+      test_captured_sessions_ascend;
+    QCheck_alcotest.to_alcotest prop_encode_matches_reference;
+    Alcotest.test_case "encode matches its reference on 150k sessions" `Quick
+      test_encode_matches_reference_at_scale;
   ]
