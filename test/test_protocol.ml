@@ -235,6 +235,35 @@ let prop_synthesized_clock_always_clean =
          || Float.abs (verdict.Checker.max_interaction_time -. clock.Clock.delta)
             < 1e-6))
 
+(* Bit-identity pin for the other Engine user: a jittered Poisson
+   workload's executions and visibilities, by the bits of every time,
+   recorded before the event heap was rewritten. *)
+let test_pinned_report () =
+  let p = instance 23 ~n:40 ~k:4 in
+  let a = Algorithm.run Algorithm.Greedy p in
+  let clock = Clock.synthesize p a in
+  let workload = Workload.poisson ~seed:4 ~clients:40 ~rate:0.02 ~horizon:400. in
+  let rng = Random.State.make [| 9 |] in
+  let jitter ~src:_ ~dst:_ ~base = base *. (0.8 +. Random.State.float rng 0.4) in
+  let report = Protocol.run ~jitter p a clock workload in
+  let bits f = Printf.sprintf "%016Lx" (Int64.bits_of_float f) in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (e : Protocol.execution) ->
+      Printf.bprintf buf "x%d,%d,%s,%s,%b;" e.op_id e.server (bits e.target_sim)
+        (bits e.actual_sim) e.late)
+    report.executions;
+  List.iter
+    (fun (v : Protocol.visibility) ->
+      Printf.bprintf buf "v%d,%d,%s,%s,%b;" v.op_id v.observer (bits v.issue_sim)
+        (bits v.visible_sim) v.late)
+    report.visibilities;
+  Alcotest.(check string) "report"
+    "ops=315 messages=13860 wall=4086769645a59ee1 events=2f04b32fffb598c3b5586fe4afdc85fd"
+    (Printf.sprintf "ops=%d messages=%d wall=%s events=%s"
+       (Workload.count report.operations) report.messages (bits report.wall_duration)
+       (Digest.to_hex (Digest.string (Buffer.contents buf))))
+
 let suite =
   [
     Alcotest.test_case "no breaches with synthesized clock" `Quick
@@ -263,4 +292,5 @@ let suite =
     Alcotest.test_case "fairness under a simultaneous burst" `Quick
       test_fairness_on_simultaneous_burst;
     QCheck_alcotest.to_alcotest prop_synthesized_clock_always_clean;
+    Alcotest.test_case "pinned report is bit-identical" `Quick test_pinned_report;
   ]
