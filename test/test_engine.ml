@@ -81,6 +81,93 @@ let test_many_events_stress () =
   Alcotest.(check int) "all fired" 1000 (List.length times);
   Alcotest.(check bool) "in order" true (times = sorted)
 
+(* -- Executable spec: a naive sorted-list engine --------------------------
+
+   A random schedule is a forest of events: a root fires at its time,
+   and every event, when it fires, schedules its children after their
+   delays. Times and delays come from a coarse grid so equal times are
+   common. The reference keeps its pending events in scheduling order
+   and always fires the first of the earliest — a stable sort by time —
+   which is the (time, seq) order the engine promises. *)
+
+type node = { id : int; at : float; children : node list }
+
+let gen_forest rng =
+  let next_id = ref 0 in
+  let grid () = float_of_int (Random.State.int rng 6) /. 2. in
+  let rec node depth =
+    let id = !next_id in
+    incr next_id;
+    let kids = if depth >= 3 then 0 else Random.State.int rng 3 in
+    let at = grid () in
+    { id; at; children = List.init kids (fun _ -> node (depth + 1)) }
+  in
+  List.init (1 + Random.State.int rng 70) (fun _ -> node 0)
+
+(* Fire in the engine: [run ~until] for each limit in turn, then a
+   final unbounded [run]; after each bounded run, note what is pending. *)
+let engine_trace forest limits =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  let rec fire n () =
+    fired := (n.id, Engine.now engine) :: !fired;
+    List.iter (fun c -> Engine.schedule_after engine c.at (fire c)) n.children
+  in
+  List.iter (fun n -> Engine.schedule engine n.at (fire n)) forest;
+  let pending =
+    List.map
+      (fun until ->
+        Engine.run ~until engine;
+        (List.length !fired, Engine.pending engine))
+      limits
+  in
+  Engine.run engine;
+  (List.rev !fired, pending)
+
+let reference_trace forest limits =
+  let queue = ref (List.map (fun n -> (n.at, n)) forest) in
+  let fired = ref [] in
+  let run until =
+    let rec loop () =
+      match List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) !queue with
+      | (time, n) :: _ when time <= until ->
+          (* Remove the first occurrence of the earliest event. *)
+          let rec drop = function
+            | [] -> []
+            | (_, m) :: rest when m == n -> rest
+            | e :: rest -> e :: drop rest
+          in
+          queue := drop !queue;
+          fired := (n.id, time) :: !fired;
+          queue := !queue @ List.map (fun c -> (time +. c.at, c)) n.children;
+          loop ()
+      | _ -> ()
+    in
+    loop ()
+  in
+  let pending =
+    List.map
+      (fun until ->
+        run until;
+        (List.length !fired, List.length !queue))
+      limits
+  in
+  run infinity;
+  (List.rev !fired, pending)
+
+let prop_matches_sorted_list_reference =
+  QCheck.Test.make ~name:"firing order matches a stable sort by time" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0xe9 |] in
+      let forest = gen_forest rng in
+      let limits =
+        List.sort Float.compare
+          (List.init (Random.State.int rng 3) (fun _ ->
+               float_of_int (Random.State.int rng 8) /. 2.))
+      in
+      engine_trace forest limits = reference_trace forest limits)
+
 let suite =
   [
     Alcotest.test_case "events run in time order" `Quick test_runs_in_time_order;
@@ -92,4 +179,5 @@ let suite =
     Alcotest.test_case "run ~until leaves future events queued" `Quick
       test_until_leaves_future_events_queued;
     Alcotest.test_case "1000-event stress stays ordered" `Quick test_many_events_stress;
+    QCheck_alcotest.to_alcotest prop_matches_sorted_list_reference;
   ]
