@@ -8,8 +8,9 @@
     function of the seed and the query sequence — so every faulty
     simulation run is exactly replayable.
 
-    The {!Network} consults {!decide} once per transmission and
-    {!down} at both send and delivery time; protocols never see the
+    The {!Network} consults {!decide} once per transmission (which
+    checks {!down} for both ends) and {!down} again at delivery time;
+    protocols never see the
     fault state directly, only its consequences (silence, duplicates,
     delay). *)
 
@@ -186,7 +187,9 @@ val instantiate : ?seed:int -> plan -> t
 
 val decide : t -> now:float -> src:int -> dst:int -> action
 (** The fate of one transmission from [src] to [dst] at time [now].
-    Consumes randomness; call exactly once per transmission. *)
+    Consumes randomness; call exactly once per transmission. A
+    transmission from or to an actor that is {!down} at [now] is
+    [Drop]ped before any draw. *)
 
 val down : t -> now:float -> int -> bool
 (** Whether the actor is crashed at time [now], per the plan's crash

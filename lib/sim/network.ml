@@ -77,7 +77,9 @@ let send net ~src ~dst payload =
   if base < 0. || not (Float.is_finite base) then
     invalid_arg (Printf.sprintf "Network.send: latency %g invalid" base);
   net.sent <- net.sent + 1;
-  if is_down net src || is_down net dst then net.dropped <- net.dropped + 1
+  (* [Fault.decide] drops a message from or to a crashed actor before it
+     draws, so only the explicit down flags are checked here. *)
+  if net.down.(src) || net.down.(dst) then net.dropped <- net.dropped + 1
   else begin
     let action =
       match net.fault with

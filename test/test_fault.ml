@@ -388,6 +388,43 @@ let prop_dsl_rejects_malformed_suffixes =
       let spec = Fault.to_string p ^ suffixes.(pick mod Array.length suffixes) in
       match Fault.of_string spec with Error _ -> true | Ok _ -> false)
 
+let prop_down_matches_rule_scan =
+  (* [Fault.down] reads crash windows precomputed at [instantiate]; it
+     must agree with a scan over the plan's crash rules at any time,
+     including exactly at a crash and exactly at a recovery, for crashes
+     that never recover, for actors crashed twice, and with other rules
+     interleaved. *)
+  let scan plan ~now actor =
+    List.exists
+      (fun (a, at, recover_at) ->
+        a = actor && now >= at
+        && match recover_at with None -> true | Some r -> now < r)
+      (Fault.crash_schedule plan)
+  in
+  QCheck.Test.make ~name:"down agrees with a scan of the crash rules" ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_range 0 8))
+    (fun (seed, rules) ->
+      let rng = Random.State.make [| seed; 0xd0e |] in
+      let plan = Fault.all (List.init rules (fun _ -> gen_rule rng)) in
+      let f = Fault.instantiate ~seed plan in
+      let boundaries =
+        List.concat_map
+          (fun (_, at, r) -> at :: Option.to_list r)
+          (Fault.crash_schedule plan)
+      in
+      let times =
+        [ 0.; 20.; infinity ]
+        @ boundaries
+        @ List.map Float.pred boundaries
+        @ List.init 10 (fun _ -> Random.State.float rng 20.)
+      in
+      List.for_all
+        (fun now ->
+          List.for_all
+            (fun actor -> Fault.down f ~now actor = scan plan ~now actor)
+            (List.init 12 (fun a -> a - 1)))
+        times)
+
 let suite =
   [
     Alcotest.test_case "seeded plans replay identically" `Quick test_seeded_replay;
@@ -419,4 +456,5 @@ let suite =
       test_fail_server_report;
     Alcotest.test_case "validate_assignment catches bad assignments" `Quick
       test_validate_assignment_errors;
+    QCheck_alcotest.to_alcotest prop_down_matches_rule_scan;
   ]
