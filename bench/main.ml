@@ -199,6 +199,18 @@ let small_servers = Placement.random ~seed:4 ~k:8 ~n:120
 let small_problem = Problem.all_nodes_clients small_matrix ~servers:small_servers
 let small_assignment = Dia_core.Nearest.assign small_problem
 
+(* Protocol repair at the soak's scale: 2000 clients spread over the
+   small instance's nodes, under the soak's default chaos plan. *)
+let faulty_protocol_problem =
+  Problem.make ~latency:small_matrix ~servers:small_servers
+    ~clients:(Array.init 2000 (fun c -> c mod 120))
+    ()
+
+let faulty_protocol_plan =
+  match Dia_sim.Fault.of_string "loss:0.1+crash:2@60~180" with
+  | Ok plan -> plan
+  | Error m -> failwith m
+
 (* Churn-throughput kernels: a live Dynamic session held at a steady
    population while each run replays a balanced batch of leaves and
    joins plus one budgeted rebalance — the control plane's steady-state
@@ -378,6 +390,10 @@ let tests =
         Dia_sim.Protocol.run small_problem small_assignment clock workload));
     Test.make ~name:"sim/dgreedy-protocol(n=120,k=8)" (Staged.stage (fun () ->
         Dia_sim.Dgreedy_protocol.run small_problem));
+    Test.make ~name:"sim/dgreedy-protocol-faulty(n=2000,k=8)" (Staged.stage (fun () ->
+        Dia_sim.Dgreedy_protocol.run
+          ~fault:(Dia_sim.Fault.instantiate ~seed:3 faulty_protocol_plan)
+          faulty_protocol_problem));
     Test.make ~name:"churn/steady-state(clients=1000)"
       (Staged.stage (make_churn_kernel ~clients:1_000));
     Test.make ~name:"churn/steady-state(clients=10000)"
